@@ -2,11 +2,9 @@
 // variants (and the naive baseline they replaced), the autotuned GEMM, and
 // the direct vs im2col convolution paths, on cubic and conv-shaped
 // problems. Emits BENCH_kernels.json so CI can archive throughput per
-// commit, and — with --floor — enforces a regression gate: any kernel
-// running at less than half its checked-in floor fails the run, as does
-// any measured kernel missing from the floor file or any floor entry that
-// no longer matches a measured kernel (so new/renamed kernels can never
-// ship ungated).
+// commit, and — with --floor — enforces the shared floor gate
+// (floor_gate.hpp): a kernel below half its floor, a kernel missing from
+// the floor file, or a floor entry matching no kernel fails the run.
 //
 //   ./bench_kernels                          # print table + write JSON
 //   ./bench_kernels --floor ../bench/kernels_floor.json
@@ -20,10 +18,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "floor_gate.hpp"
 #include "tensor/autotune.hpp"
 #include "tensor/ops.hpp"
 #include "util/args.hpp"
@@ -246,45 +244,9 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", args.get("out").c_str());
 
   if (!args.get("floor").empty()) {
-    const util::Json floors =
-        util::Json::parse(util::read_file(args.get("floor")));
-    // Two-way hard matching: every measured kernel needs a floor, every
-    // floor key needs a measured kernel. Keys starting with "_" are
-    // comments/metadata.
-    std::map<std::string, double> floor_map;
-    for (const auto& [key, value] : floors.as_object())
-      if (!key.starts_with("_")) floor_map[key] = value.as_number();
-    int violations = 0;
-    std::set<std::string> matched;
-    for (const auto& r : results) {
-      const auto it = floor_map.find(r.key);
-      if (it == floor_map.end()) {
-        std::fprintf(stderr,
-                     "UNGATED %s: measured kernel has no floor entry — add "
-                     "it to %s\n",
-                     r.key.c_str(), args.get("floor").c_str());
-        ++violations;
-        continue;
-      }
-      matched.insert(r.key);
-      if (r.gflops < it->second / 2.0) {
-        std::fprintf(stderr,
-                     "REGRESSION %s: %.2f GFLOP/s < half of floor %.2f\n",
-                     r.key.c_str(), r.gflops, it->second);
-        ++violations;
-      }
-    }
-    for (const auto& [key, value] : floor_map) {
-      if (!matched.contains(key)) {
-        std::fprintf(stderr,
-                     "STALE FLOOR %s: no measured kernel matches this entry "
-                     "— remove or rename it\n",
-                     key.c_str());
-        ++violations;
-      }
-    }
-    if (violations > 0) return 2;
-    std::printf("floor check passed (%s)\n", args.get("floor").c_str());
+    std::vector<bench::GatedMetric> metrics;
+    for (const auto& r : results) metrics.push_back({r.key, r.gflops});
+    if (bench::floor_violations(args.get("floor"), metrics) > 0) return 2;
   }
   return 0;
 }

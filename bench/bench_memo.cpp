@@ -4,14 +4,15 @@
 // checking the two runs agree on the final Pareto front; (b) a tabular
 // sweep throughput measurement: a small space is trained once into a
 // genome table, then ablation sweeps are served straight from the table.
-// Emits BENCH_memo.json and — with --floor — enforces the half-floor
-// regression gate used by bench_kernels/bench_serve.
+// Emits BENCH_memo.json and — with --floor — enforces the shared floor
+// gate (floor_gate.hpp).
 //
 //   ./bench_memo
 //   ./bench_memo --floor ../bench/memo_floor.json
 #include <algorithm>
 #include <cstdio>
 
+#include "floor_gate.hpp"
 #include "core/a4nn.hpp"
 #include "nas/table.hpp"
 #include "util/args.hpp"
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
   args.add_option("sweep", "5000", "tabular sweep size (genome lookups)");
   args.add_option("floor", "",
                   "memo_floor.json with minimum values; exit nonzero if "
-                  "any metric measures below half its floor");
+                  "any metric measures below half its floor or has no entry");
   try {
     args.parse(argc, argv);
   } catch (const util::ArgError& e) {
@@ -175,26 +176,9 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", args.get("out").c_str());
 
   int violations = fronts_match && sweep_failed == 0 ? 0 : 1;
-  if (!args.get("floor").empty()) {
-    const util::Json floors =
-        util::Json::parse(util::read_file(args.get("floor")));
-    struct Gate {
-      const char* key;
-      double value;
-    };
-    const Gate gates[] = {{"search_speedup", speedup},
-                          {"tabular_genomes_per_sec", genomes_per_sec}};
-    for (const Gate& g : gates) {
-      if (!floors.contains(g.key)) continue;
-      const double floor = floors.at(g.key).as_number();
-      if (g.value < floor / 2.0) {
-        std::fprintf(stderr, "REGRESSION %s: %.2f < half of floor %.2f\n",
-                     g.key, g.value, floor);
-        ++violations;
-      }
-    }
-    if (violations == 0)
-      std::printf("floor check passed (%s)\n", args.get("floor").c_str());
-  }
+  if (!args.get("floor").empty())
+    violations += bench::floor_violations(
+        args.get("floor"), {{"search_speedup", speedup},
+                            {"tabular_genomes_per_sec", genomes_per_sec}});
   return violations > 0 ? 2 : 0;
 }

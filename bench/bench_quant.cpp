@@ -2,8 +2,8 @@
 // micro-batch geometry, measured with the same LatencyProbe the
 // measured-p99 registry policy uses. Emits BENCH_quant.json (per-image
 // latency, throughput, int8 speedup, accuracy drop) and — with --floor —
-// enforces a regression gate mirroring bench_serve: any metric below half
-// its checked-in floor fails the run.
+// enforces the shared floor gate (floor_gate.hpp), with the accuracy drop
+// as an absolute ceiling.
 //
 //   ./bench_quant                            # print table + write JSON
 //   ./bench_quant --floor ../bench/quant_floor.json
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "floor_gate.hpp"
 #include "latency/probe.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
@@ -61,8 +62,9 @@ int main(int argc, char** argv) {
   args.add_option("epochs", "8", "training epochs before quantization");
   args.add_option("lr", "0.01", "SGD learning rate for the warm-up training");
   args.add_option("floor", "",
-                  "quant_floor.json with minimum values; exit nonzero if "
-                  "any metric measures below half its floor");
+                  "quant_floor.json with minimums and the accuracy-drop "
+                  "ceiling; exit nonzero if any metric misses its gate or "
+                  "has no entry");
   try {
     args.parse(argc, argv);
   } catch (const util::ArgError& e) {
@@ -151,40 +153,15 @@ int main(int argc, char** argv) {
   util::write_file(args.get("out"), json.dump(2));
   std::printf("wrote %s\n", args.get("out").c_str());
 
-  if (!args.get("floor").empty()) {
-    const util::Json floors =
-        util::Json::parse(util::read_file(args.get("floor")));
-    struct Gate {
-      const char* key;
-      double value;
-    };
-    const Gate gates[] = {{"float_rps", float_rps},
-                          {"int8_rps", int8_rps},
-                          {"int8_speedup", speedup}};
-    int violations = 0;
-    for (const Gate& g : gates) {
-      if (!floors.contains(g.key)) continue;
-      const double floor = floors.at(g.key).as_number();
-      if (g.value < floor / 2.0) {
-        std::fprintf(stderr, "REGRESSION %s: %.2f < half of floor %.2f\n",
-                     g.key, g.value, floor);
-        ++violations;
-      }
-    }
-    // The accuracy guard is absolute, not halved: a quantization that
-    // costs more accuracy than the epsilon contract is a correctness
-    // regression, not a slow machine.
-    if (floors.contains("max_accuracy_drop_pct")) {
-      const double eps = floors.at("max_accuracy_drop_pct").as_number();
-      if (drop_pct > eps) {
-        std::fprintf(stderr,
-                     "REGRESSION accuracy_drop_pct: %.2f > epsilon %.2f\n",
-                     drop_pct, eps);
-        ++violations;
-      }
-    }
-    if (violations > 0) return 2;
-    std::printf("floor check passed (%s)\n", args.get("floor").c_str());
-  }
+  // The accuracy drop is an absolute ceiling (the epsilon contract).
+  if (!args.get("floor").empty() &&
+      bench::floor_violations(
+          args.get("floor"),
+          {{"float_rps", float_rps},
+           {"int8_rps", int8_rps},
+           {"int8_speedup", speedup},
+           {"max_accuracy_drop_pct", drop_pct,
+            bench::GatedMetric::kAtMost}}) > 0)
+    return 2;
   return 0;
 }

@@ -1,8 +1,7 @@
 // Serving benchmark: closed-loop load against the micro-batching engine,
 // batch-1 baseline vs micro-batched, on a self-contained temp commons.
 // Emits BENCH_serve.json (throughput, p50/p95/p99 latency, speedup) and —
-// with --floor — enforces a regression gate: any metric measuring below
-// half its checked-in floor fails the run, mirroring bench_kernels.
+// with --floor — enforces the shared floor gate (floor_gate.hpp).
 //
 //   ./bench_serve                            # print table + write JSON
 //   ./bench_serve --floor ../bench/serve_floor.json
@@ -12,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "floor_gate.hpp"
 #include "lineage/tracker.hpp"
 #include "nn/layers.hpp"
 #include "serve/engine.hpp"
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   args.add_option("workers", "4", "workers for the micro-batched config");
   args.add_option("floor", "",
                   "serve_floor.json with minimum values; exit nonzero if "
-                  "any metric measures below half its floor");
+                  "any metric measures below half its floor or has no entry");
   try {
     args.parse(argc, argv);
   } catch (const util::ArgError& e) {
@@ -189,28 +189,11 @@ int main(int argc, char** argv) {
   util::write_file(args.get("out"), json.dump(2));
   std::printf("wrote %s\n", args.get("out").c_str());
 
-  if (!args.get("floor").empty()) {
-    const util::Json floors =
-        util::Json::parse(util::read_file(args.get("floor")));
-    struct Gate {
-      const char* key;
-      double value;
-    };
-    const Gate gates[] = {{"baseline_rps", baseline.rps},
-                          {"micro_rps", micro.rps},
-                          {"speedup", speedup}};
-    int violations = 0;
-    for (const Gate& g : gates) {
-      if (!floors.contains(g.key)) continue;
-      const double floor = floors.at(g.key).as_number();
-      if (g.value < floor / 2.0) {
-        std::fprintf(stderr, "REGRESSION %s: %.2f < half of floor %.2f\n",
-                     g.key, g.value, floor);
-        ++violations;
-      }
-    }
-    if (violations > 0) return 2;
-    std::printf("floor check passed (%s)\n", args.get("floor").c_str());
-  }
+  if (!args.get("floor").empty() &&
+      bench::floor_violations(args.get("floor"),
+                              {{"baseline_rps", baseline.rps},
+                               {"micro_rps", micro.rps},
+                               {"speedup", speedup}}) > 0)
+    return 2;
   return 0;
 }

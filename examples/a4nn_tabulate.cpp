@@ -64,18 +64,15 @@ int main(int argc, char** argv) {
   space.input_shape = {1, pixels, pixels};
 
   std::vector<nas::Genome> genomes;
+  xfel::XfelDatasetConfig ds;
   try {
     genomes = nas::enumerate_space(space, args.get_size("max-genomes"));
+    ds.intensity = xfel::beam_from_name(args.get("intensity"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "a4nn_tabulate: %s\n", e.what());
     return 1;
   }
 
-  xfel::XfelDatasetConfig ds;
-  const std::string intensity = args.get("intensity");
-  ds.intensity = intensity == "low"    ? xfel::BeamIntensity::kLow
-                 : intensity == "high" ? xfel::BeamIntensity::kHigh
-                                       : xfel::BeamIntensity::kMedium;
   ds.images_per_class = args.get_size("images");
   ds.detector.pixels = pixels;
   const xfel::XfelDataset data = xfel::generate_xfel_dataset(ds);

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
-# Loopback cluster smoke test: a master with two workers on 127.0.0.1, one
-# worker SIGKILLed mid-generation, must finish the search and produce a
-# Pareto front BIT-identical (hexfloat dump) to the same binary run with
-# zero workers (pure local fallback = the solo path). Exercises dispatch,
-# heartbeat-loss detection, re-dispatch, and the degraded mode in one go.
+# Loopback cluster smoke test for a4nn_run's cluster modes:
 #
-# Usage: cluster_smoke.sh <path-to-a4nn_cluster-binary> [workdir]
+#  1. A master (--listen) with two workers (--connect) on 127.0.0.1, one
+#     SIGKILLed mid-generation, must finish with a Pareto front
+#     BIT-identical (hexfloat dump) to plain solo a4nn_run with the same
+#     flags: dispatch, heartbeat-loss detection and re-dispatch in one go.
+#  2. With non-default engine flags, a master and one matching worker must
+#     match the solo run again, and a worker launched with a different
+#     --function must be rejected at the handshake (exit 2).
+#
+# Usage: cluster_smoke.sh <path-to-a4nn_run-binary> [workdir]
 set -euo pipefail
 
-BIN=${1:?usage: cluster_smoke.sh <a4nn_cluster binary> [workdir]}
+BIN=${1:?usage: cluster_smoke.sh <a4nn_run binary> [workdir]}
 WORK=${2:-$(mktemp -d)}
 mkdir -p "$WORK"
 
@@ -17,31 +21,49 @@ mkdir -p "$WORK"
 FLAGS=(--population 4 --offspring 4 --generations 3 --epochs 6
        --images 80 --pixels 12 --intensity medium --no-engine
        --gpus 2 --seed 7)
-PORT=7517
+# Long enough for the engine to stop some models early, so the front
+# depends on the engine settings the handshake digest covers.
+ENGINE_FLAGS=(--population 3 --offspring 3 --generations 2 --epochs 10
+              --images 40 --pixels 10 --function logistic --window 4
+              --seed 11)
 KILL_AFTER_S=2.2
 
-echo "=== solo baseline (zero workers -> local fallback) ==="
-"$BIN" --master --port 0 "${FLAGS[@]}" \
-    --pareto-out "$WORK/solo.pareto" | tail -n 6
+PIDS=()
+cleanup() { kill -9 "${PIDS[@]}" 2>/dev/null || true; }
+trap cleanup EXIT
+fail() { echo "FAIL: $*" >&2; exit 1; }
+# master LOG PARETO PORT MIN_WORKERS FLAGS...: start a master in the background.
+master() {
+    "$BIN" --listen "127.0.0.1:$3" --min-workers "$4" --wait-workers-ms 15000 \
+        --pareto-out "$WORK/$2" "${@:5}" > "$WORK/$1" 2>&1 &
+    PIDS+=($!)
+}
+# worker NAME PORT FLAGS...: start a worker in the background, log NAME.log.
+worker() {
+    "$BIN" --connect "127.0.0.1:$2" --worker-name "$1" "${@:3}" \
+        > "$WORK/$1.log" 2>&1 &
+    PIDS+=($!)
+}
+finish() {  # finish MASTER_PID LOG: the master must exit 0
+    wait "$1" || { tail -n 30 "$WORK/$2" >&2; fail "master exited nonzero"; }
+}
+same_front() {
+    diff -u "$WORK/$1" "$WORK/$2" || fail "$2 differs from the solo run"
+    echo "PARETO BIT-IDENTICAL: $2 ($(wc -l < "$WORK/$1") model(s))"
+}
+
+echo "=== solo baseline (a4nn_run, no --listen) ==="
+"$BIN" "${FLAGS[@]}" --pareto-out "$WORK/solo.pareto" | tail -n 6
 
 echo "=== cluster run: master + 2 workers, one SIGKILLed mid-run ==="
-"$BIN" --master --port "$PORT" --min-workers 2 --wait-workers-ms 15000 \
+master master.log cluster.pareto 7517 2 "${FLAGS[@]}" \
     --heartbeat-interval-ms 100 --heartbeat-timeout-ms 500 \
-    "${FLAGS[@]}" \
-    --pareto-out "$WORK/cluster.pareto" \
-    --trace-out "$WORK/cluster_trace.json" > "$WORK/master.log" 2>&1 &
+    --trace-out "$WORK/cluster_trace.json"
 MASTER_PID=$!
-
 sleep 0.3
-"$BIN" --worker --connect "127.0.0.1:$PORT" --worker-name w0 \
-    "${FLAGS[@]}" > "$WORK/w0.log" 2>&1 &
+worker w0 7517 "${FLAGS[@]}"
 W0_PID=$!
-"$BIN" --worker --connect "127.0.0.1:$PORT" --worker-name w1 \
-    "${FLAGS[@]}" > "$WORK/w1.log" 2>&1 &
-W1_PID=$!
-
-cleanup() { kill -9 "$MASTER_PID" "$W0_PID" "$W1_PID" 2>/dev/null || true; }
-trap cleanup EXIT
+worker w1 7517 "${FLAGS[@]}"
 
 # SIGKILL one worker while its jobs are in flight: the master must detect
 # the silence, re-dispatch, and still finish bit-identically.
@@ -51,28 +73,42 @@ if kill -9 "$W0_PID" 2>/dev/null; then
 else
     echo "WARNING: worker w0 already exited before the kill" >&2
 fi
-
-if ! wait "$MASTER_PID"; then
-    echo "FAIL: master exited nonzero" >&2
-    tail -n 30 "$WORK/master.log" >&2
-    exit 1
-fi
-wait "$W1_PID" || true
-trap - EXIT
-cleanup
-
+finish "$MASTER_PID" master.log
 grep -E "^cluster:" "$WORK/master.log" || true
-
-echo "=== comparing Pareto fronts (must be bit-identical) ==="
-if ! diff -u "$WORK/solo.pareto" "$WORK/cluster.pareto"; then
-    echo "FAIL: cluster Pareto front differs from the solo baseline" >&2
-    exit 1
-fi
-echo "PARETO BIT-IDENTICAL ($(wc -l < "$WORK/solo.pareto") model(s))"
+same_front solo.pareto cluster.pareto
 
 # The trace's pid-3 lanes must agree with the cluster counters exactly.
 if command -v python3 > /dev/null; then
     python3 "$(dirname "$0")/check_trace.py" "$WORK/cluster_trace.json"
 fi
 
+echo "=== engine flags over the wire: --function logistic --window 4 ==="
+"$BIN" "${ENGINE_FLAGS[@]}" --pareto-out "$WORK/engine_solo.pareto" \
+    > "$WORK/engine_solo.log"
+grep -qE " [1-9][0-9]* early terminations" "$WORK/engine_solo.log" ||
+    fail "the engine stopped no model early; its flags went unused"
+master engine_master.log engine_cluster.pareto 7518 1 "${ENGINE_FLAGS[@]}"
+MASTER_PID=$!
+
+# The mismatched worker connects first; the master must turn it away
+# before any job is sent, and the worker must say so with exit code 2.
+status=0
+"$BIN" --connect 127.0.0.1:7518 --worker-name mismatched \
+    "${ENGINE_FLAGS[@]}" --function pow_exp \
+    > "$WORK/mismatched.log" 2>&1 || status=$?
+[ "$status" -eq 2 ] ||
+    fail "worker with a different --function exited $status, want 2"
+echo "mismatched --function worker rejected at the handshake (exit 2)"
+
+worker w2 7518 "${ENGINE_FLAGS[@]}"
+finish "$MASTER_PID" engine_master.log
+grep -E "^cluster:" "$WORK/engine_master.log"
+# The matching worker must have trained jobs, or the diff below would
+# only compare solo against local fallback.
+grep -qE "^cluster: [1-9][0-9]* remote job" "$WORK/engine_master.log" ||
+    fail "the matching worker served no jobs"
+same_front engine_solo.pareto engine_cluster.pareto
+
+trap - EXIT
+cleanup
 echo "cluster_smoke: PASS (artifacts in $WORK)"

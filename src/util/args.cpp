@@ -95,9 +95,27 @@ double ArgParser::get_double(const std::string& name) const {
 }
 
 std::size_t ArgParser::get_size(const std::string& name) const {
-  const double d = get_double(name);
-  if (d < 0.0) throw ArgError("option --" + name + " must be >= 0");
-  return static_cast<std::size_t>(d);
+  const std::string& s = get(name);
+  std::size_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size())
+    throw ArgError("option --" + name + ": '" + s +
+                   "' is not a non-negative integer");
+  return v;
+}
+
+Endpoint ArgParser::get_endpoint(const std::string& name) const {
+  const std::string& s = get(name);
+  const auto colon = s.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size())
+    throw ArgError("option --" + name + ": '" + s + "' is not host:port");
+  const char* end = s.data() + s.size();
+  unsigned long port = 0;
+  auto [ptr, ec] = std::from_chars(s.data() + colon + 1, end, port);
+  if (ec != std::errc() || ptr != end || port > 65535)
+    throw ArgError("option --" + name + ": port in '" + s +
+                   "' is not an integer in [0, 65535]");
+  return Endpoint{s.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
 bool ArgParser::get_flag(const std::string& name) const {

@@ -9,6 +9,7 @@
 //   std::size_t pop = args.get_size("population");
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,12 @@ namespace a4nn::util {
 class ArgError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
+};
+
+/// A host:port network address given on the command line.
+struct Endpoint {
+  std::string host;
+  std::uint16_t port = 0;
 };
 
 class ArgParser {
@@ -40,7 +47,12 @@ class ArgParser {
 
   const std::string& get(const std::string& name) const;
   double get_double(const std::string& name) const;
+  /// A non-negative decimal integer: signs, fractions, exponents, nan and
+  /// values beyond size_t are ArgError, never truncated.
   std::size_t get_size(const std::string& name) const;
+  /// host:port with a non-empty host and a decimal port <= 65535 (0 is
+  /// allowed: the caller decides whether it means "ephemeral").
+  Endpoint get_endpoint(const std::string& name) const;
   bool get_flag(const std::string& name) const;
   /// Positional arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }

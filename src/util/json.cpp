@@ -229,6 +229,7 @@ class Parser {
  private:
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw JsonError("JSON parse error at offset " + std::to_string(pos_) +
@@ -270,6 +271,18 @@ class Parser {
     return false;
   }
 
+  /// Counts one level of array/object nesting for the lifetime of a
+  /// parse_object/parse_array call.
+  struct DepthGuard {
+    Parser& p;
+    explicit DepthGuard(Parser& parser) : p(parser) {
+      if (p.depth_ == Json::kMaxParseDepth)
+        p.fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth));
+      ++p.depth_;
+    }
+    ~DepthGuard() { --p.depth_; }
+  };
+
   Json parse_value() {
     skip_ws();
     char c = peek();
@@ -291,6 +304,7 @@ class Parser {
   }
 
   Json parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     JsonObject obj;
     skip_ws();
@@ -316,6 +330,7 @@ class Parser {
   }
 
   Json parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     JsonArray arr;
     skip_ws();

@@ -93,8 +93,11 @@ class Json {
   /// prints with that many spaces per level.
   std::string dump(int indent = -1) const;
 
-  /// Parse a complete document; trailing garbage is an error.
+  /// Parse a complete document; trailing garbage is an error, and so is
+  /// nesting deeper than kMaxParseDepth arrays/objects (the parser
+  /// recurses, so hostile input must not choose the stack depth).
   static Json parse(const std::string& text);
+  static constexpr std::size_t kMaxParseDepth = 512;
 
   /// Extract a vector of doubles from an array of numbers.
   std::vector<double> as_double_vector() const;

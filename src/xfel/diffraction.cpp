@@ -14,6 +14,14 @@ const char* beam_name(BeamIntensity b) {
   return "?";
 }
 
+BeamIntensity beam_from_name(const std::string& name) {
+  if (name == "low") return BeamIntensity::kLow;
+  if (name == "medium") return BeamIntensity::kMedium;
+  if (name == "high") return BeamIntensity::kHigh;
+  throw std::invalid_argument("unknown beam intensity '" + name +
+                              "' (expected low|medium|high)");
+}
+
 double beam_fluence(BeamIntensity b) {
   switch (b) {
     case BeamIntensity::kLow: return 1e14;

@@ -10,6 +10,7 @@
 // in the paper (low fluence -> noisy patterns -> harder classification).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -21,6 +22,8 @@ namespace a4nn::xfel {
 enum class BeamIntensity { kLow, kMedium, kHigh };
 
 const char* beam_name(BeamIntensity b);
+/// Inverse of beam_name; throws std::invalid_argument on any other name.
+BeamIntensity beam_from_name(const std::string& name);
 /// Paper fluence value, for record trails.
 double beam_fluence(BeamIntensity b);
 /// Expected total detected photons per pattern in our detector model.

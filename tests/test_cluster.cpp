@@ -431,6 +431,35 @@ TEST(Master, CorruptionSweepNeverCommitsBadRecords) {
   master.set_metrics(nullptr);
 }
 
+// Hostile-input leg of the sweep: a CRC-valid result frame whose body is a
+// million nested arrays. The parser's depth cap makes it a malformed body
+// instead of a stack overflow, so the master drops the frame and the
+// worker; with no worker left the job is declined (the scheduler would run
+// it locally) and nothing remote is committed.
+TEST(Master, DeeplyNestedFrameIsDroppedAndCommitsNothing) {
+  cluster::Master master(fast_master_options());
+  util::metrics::Registry reg;
+  master.set_metrics(&reg);
+  RawWorker w = RawWorker::join(master.port());
+  util::WireFrame f;
+  ASSERT_TRUE(w.await(MsgType::kWelcome, f));
+  ASSERT_TRUE(master.wait_for_workers(1, 2000));
+
+  auto fut = std::async(std::launch::async,
+                        [&] { return master.evaluate(job_payload(5)); });
+  ASSERT_TRUE(w.await(MsgType::kJobRequest, f));
+  ASSERT_TRUE(w.conn.send_all(util::encode_wire_frame(
+      static_cast<std::uint8_t>(MsgType::kJobResult),
+      std::string(1000000, '['))));
+
+  EXPECT_FALSE(fut.get().has_value());
+  EXPECT_GE(reg.counter("cluster.corrupt_frames").value(), 1.0);
+  EXPECT_GE(reg.counter("cluster.worker_failures").value(), 1.0);
+  EXPECT_EQ(reg.counter("cluster.remote_results").value(), 0.0);
+  EXPECT_EQ(master.connected_workers(), 0u);
+  master.set_metrics(nullptr);
+}
+
 TEST(Master, WrongModelRecordIsRejectedAndRedispatched) {
   auto opts = fast_master_options();
   opts.quarantine_after = 10;  // let the same identity reconnect

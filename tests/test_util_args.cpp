@@ -82,6 +82,46 @@ TEST(ArgParser, NegativeSizeRejected) {
   EXPECT_DOUBLE_EQ(args.get_double("population"), -3.0);
 }
 
+TEST(ArgParser, SizeIsAnExactUnsignedInteger) {
+  // Anything but a plain decimal integer that fits size_t is an error,
+  // never a truncation.
+  for (const char* bad : {"2.5", "-0", "nan", "inf", "1e30", "1e3", "+4",
+                          " 4", "4 ", "", "0x10",
+                          "18446744073709551616",  // 2^64
+                          "99999999999999999999999"}) {
+    ArgParser args = make_parser();
+    parse(args, {"--population", bad});
+    EXPECT_THROW(args.get_size("population"), ArgError) << "'" << bad << "'";
+  }
+  ArgParser args = make_parser();
+  // Above 2^53, where a double round trip would lose the low bits.
+  parse(args, {"--population", "18446744073709551615"});
+  EXPECT_EQ(args.get_size("population"), 18446744073709551615u);
+  parse(args, {"--population", "9007199254740993"});
+  EXPECT_EQ(args.get_size("population"), 9007199254740993u);
+  parse(args, {"--population", "007"});
+  EXPECT_EQ(args.get_size("population"), 7u);
+}
+
+TEST(ArgParser, EndpointParsesHostAndPort) {
+  ArgParser args("prog", "test program");
+  args.add_option("listen", "127.0.0.1:0", "address");
+  parse(args, {});
+  EXPECT_EQ(args.get_endpoint("listen").host, "127.0.0.1");
+  EXPECT_EQ(args.get_endpoint("listen").port, 0u);
+  parse(args, {"--listen", "node-7.example:65535"});
+  EXPECT_EQ(args.get_endpoint("listen").host, "node-7.example");
+  EXPECT_EQ(args.get_endpoint("listen").port, 65535u);
+  // Ports that a uint16_t cast would wrap, and malformed addresses.
+  for (const char* bad : {"127.0.0.1:65536", "127.0.0.1:70000",
+                          "127.0.0.1:4294967297", "127.0.0.1:-1",
+                          "127.0.0.1:80x", "127.0.0.1:", ":7501", "7501",
+                          "127.0.0.1", ""}) {
+    parse(args, {"--listen", bad});
+    EXPECT_THROW(args.get_endpoint("listen"), ArgError) << "'" << bad << "'";
+  }
+}
+
 TEST(ArgParser, LastOccurrenceWins) {
   ArgParser args = make_parser();
   parse(args, {"--population", "5", "--population", "9"});

@@ -93,6 +93,29 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
 }
 
+TEST(Json, NestingDepthIsCapped) {
+  // A million open brackets would recurse a million frames deep; the cap
+  // turns that into an ordinary parse error, arrays and objects alike.
+  EXPECT_THROW(Json::parse(std::string(1000000, '[')), JsonError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(objects), JsonError);
+
+  const std::size_t limit = Json::kMaxParseDepth;
+  const Json deepest = Json::parse(std::string(limit, '[') +
+                                   std::string(limit, ']'));
+  const Json* inner = &deepest;
+  for (std::size_t d = 1; d < limit; ++d) inner = &inner->at(std::size_t{0});
+  EXPECT_EQ(inner->size(), 0u);
+  EXPECT_THROW(Json::parse(std::string(limit + 1, '[') +
+                           std::string(limit + 1, ']')),
+               JsonError);
+  // Sibling containers do not add up: depth is nesting, not count.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 2 * limit; ++i) wide += i ? ",[]" : "[]";
+  EXPECT_EQ(Json::parse(wide + "]").size(), 2 * limit);
+}
+
 TEST(Json, DumpParseRoundTrip) {
   Json j = Json::object();
   j["name"] = "model_42";

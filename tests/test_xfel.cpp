@@ -125,6 +125,15 @@ TEST(Beam, NamesFluencesAndPhotons) {
               10.0, 1e-9);
 }
 
+TEST(Beam, FromNameInvertsNameAndRejectsTypos) {
+  for (const auto b :
+       {BeamIntensity::kLow, BeamIntensity::kMedium, BeamIntensity::kHigh})
+    EXPECT_EQ(beam_from_name(beam_name(b)), b);
+  // A typo must not quietly run the medium-intensity experiment.
+  for (const char* bad : {"lo", "Low", "HIGH", "", "medium "})
+    EXPECT_THROW(beam_from_name(bad), std::invalid_argument) << bad;
+}
+
 TEST(DiffractionSimulator, IdealPatternNormalizedAndPositive) {
   ProteinConfig pcfg;
   const auto [conf, conf_b] = make_conformation_pair(pcfg);
