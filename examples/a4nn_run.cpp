@@ -235,9 +235,20 @@ int run_worker(const cluster::WorkerOptions& opts, core::WorkflowConfig cfg) {
                                    objective_name + "'");
         const nas::Genome genome = nas::Genome::from_json(req.genome);
         const std::uint64_t model_seed = cluster::hex_to_u64(req.seed_hex);
+        // One line when a job starts and one when it ends, flushed, so a
+        // watcher (scripts/cluster_smoke.sh) can tell when this worker
+        // holds a job.
+        std::printf("worker '%s': job %llu (model %d) started\n",
+                    opts.name.c_str(), static_cast<unsigned long long>(req.job),
+                    req.model_id);
+        std::fflush(stdout);
         nas::EvaluationRecord record =
             loop.train_genome(genome, space, req.model_id, model_seed);
         record.generation = req.generation;
+        std::printf("worker '%s': job %llu (model %d) finished\n",
+                    opts.name.c_str(), static_cast<unsigned long long>(req.job),
+                    req.model_id);
+        std::fflush(stdout);
         return record.to_json();
       });
   watcher_done.store(true);

@@ -28,50 +28,28 @@
 
 using namespace a4nn;
 
-int main(int argc, char** argv) {
-  util::ArgParser args("a4nn_serve",
-                       "Serve the commons champion with micro-batching");
-  args.add_option("commons", "a4nn_commons", "data commons root to serve");
-  args.add_option("policy", "best-fitness",
-                  "champion policy: best-fitness | min-flops | balanced | "
-                  "measured-p99");
-  args.add_option("max-flops", "0", "FLOPs-per-image budget (0 = unlimited)");
-  args.add_option("max-batch", "8", "micro-batch width");
-  args.add_option("max-delay-ms", "2", "max batching delay before flush");
-  args.add_option("queue-capacity", "256", "request queue bound");
-  args.add_option("workers", "2", "inference worker threads");
-  args.add_option("slo-ms", "0", "latency SLO for shedding (0 = off); "
-                  "measured-p99 also holds probed candidates against it");
-  args.add_flag("quantize",
-                "measured-p99 only: consider an int8 post-training-quantized "
-                "variant per candidate (served when faster and within "
-                "--epsilon of float accuracy)");
-  args.add_option("epsilon", "0.5",
-                  "max absolute accuracy drop (percentage points) an int8 "
-                  "variant may cost before falling back to float");
-  args.add_option("calibration", "32",
-                  "calibration samples for int8 activation scales");
-  args.add_flag("auto-batch",
-                "sweep (max-batch, max-delay-ms) pairs against the measured "
-                "champion latency before serving; journals serve_tune.json "
-                "to the commons and serves the winner");
-  args.add_option("requests", "2000", "total requests to drive");
-  args.add_option("clients", "8", "closed-loop client threads");
-  args.add_option("stats-out", "", "write engine stats JSON here");
-  args.add_option("trace-out", "", "write a Chrome trace of the run here");
-  args.add_option("tune-config", "",
-                  "tune.json from a4nn_tune: per-shape GEMM blocking "
-                  "(empty: use A4NN_TUNE env var, or compiled defaults)");
-  try {
-    args.parse(argc, argv);
-  } catch (const util::ArgError& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), args.usage().c_str());
-    return 1;
-  }
-  if (args.help_requested()) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
+namespace {
+
+int run(const util::ArgParser& args) {
+  // Every flag is bound before any work starts: a util::ArgError reaches
+  // main, which prints usage.
+  serve::RegistryConfig reg_cfg;
+  reg_cfg.commons_root = args.get("commons");
+  reg_cfg.max_flops = args.get_size("max-flops");
+  reg_cfg.slo_ms = args.get_double("slo-ms");
+  reg_cfg.quantize = args.get_flag("quantize");
+  reg_cfg.epsilon_pct = args.get_double("epsilon");
+  reg_cfg.calibration = args.get_size("calibration");
+  reg_cfg.probe.batch = args.get_size("max-batch");
+  serve::EngineConfig cfg;
+  cfg.max_batch = args.get_size("max-batch");
+  cfg.max_delay_ms = args.get_double("max-delay-ms");
+  cfg.queue_capacity = args.get_size("queue-capacity");
+  cfg.workers = args.get_size("workers");
+  cfg.slo_ms = args.get_double("slo-ms");
+  const std::size_t total = args.get_size("requests");
+  const std::size_t clients =
+      std::max<std::size_t>(args.get_size("clients"), 1);
   if (!args.get("tune-config").empty()) {
     try {
       tensor::load_tune_file(args.get("tune-config"));
@@ -85,14 +63,6 @@ int main(int argc, char** argv) {
   const std::string trace_out = args.get("trace-out");
   if (!trace_out.empty()) util::trace::start();
 
-  serve::RegistryConfig reg_cfg;
-  reg_cfg.commons_root = args.get("commons");
-  reg_cfg.max_flops = args.get_size("max-flops");
-  reg_cfg.slo_ms = args.get_double("slo-ms");
-  reg_cfg.quantize = args.get_flag("quantize");
-  reg_cfg.epsilon_pct = args.get_double("epsilon");
-  reg_cfg.calibration = args.get_size("calibration");
-  reg_cfg.probe.batch = args.get_size("max-batch");
   // Labelled shots regenerated at a candidate's own geometry: calibration
   // batch for int8 activation scales plus the float-vs-int8 accuracy guard.
   reg_cfg.eval_data = [](const tensor::Shape& shape, std::size_t classes) {
@@ -157,12 +127,6 @@ int main(int argc, char** argv) {
   const xfel::XfelDataset data = xfel::generate_xfel_dataset(data_cfg);
   const nn::Dataset& pool = data.validation;
 
-  serve::EngineConfig cfg;
-  cfg.max_batch = args.get_size("max-batch");
-  cfg.max_delay_ms = args.get_double("max-delay-ms");
-  cfg.queue_capacity = args.get_size("queue-capacity");
-  cfg.workers = args.get_size("workers");
-  cfg.slo_ms = args.get_double("slo-ms");
 
   if (args.get_flag("auto-batch")) {
     // One-shot sweep before serving: probe the champion — the exact
@@ -245,8 +209,6 @@ int main(int argc, char** argv) {
 
   serve::InferenceEngine engine(registry, cfg);
 
-  const std::size_t total = args.get_size("requests");
-  const std::size_t clients = std::max<std::size_t>(args.get_size("clients"), 1);
   std::atomic<std::size_t> correct{0}, answered{0}, dropped{0};
   util::Timer wall;
   {
@@ -309,4 +271,53 @@ int main(int argc, char** argv) {
     std::printf("stopped cleanly on signal %d (in-flight requests drained)\n",
                 util::shutdown_signal());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args("a4nn_serve",
+                       "Serve the commons champion with micro-batching");
+  args.add_option("commons", "a4nn_commons", "data commons root to serve");
+  args.add_option("policy", "best-fitness",
+                  "champion policy: best-fitness | min-flops | balanced | "
+                  "measured-p99");
+  args.add_option("max-flops", "0", "FLOPs-per-image budget (0 = unlimited)");
+  args.add_option("max-batch", "8", "micro-batch width");
+  args.add_option("max-delay-ms", "2", "max batching delay before flush");
+  args.add_option("queue-capacity", "256", "request queue bound");
+  args.add_option("workers", "2", "inference worker threads");
+  args.add_option("slo-ms", "0", "latency SLO for shedding (0 = off); "
+                  "measured-p99 also holds probed candidates against it");
+  args.add_flag("quantize",
+                "measured-p99 only: consider an int8 post-training-quantized "
+                "variant per candidate (served when faster and within "
+                "--epsilon of float accuracy)");
+  args.add_option("epsilon", "0.5",
+                  "max absolute accuracy drop (percentage points) an int8 "
+                  "variant may cost before falling back to float");
+  args.add_option("calibration", "32",
+                  "calibration samples for int8 activation scales");
+  args.add_flag("auto-batch",
+                "sweep (max-batch, max-delay-ms) pairs against the measured "
+                "champion latency before serving; journals serve_tune.json "
+                "to the commons and serves the winner");
+  args.add_option("requests", "2000", "total requests to drive");
+  args.add_option("clients", "8", "closed-loop client threads");
+  args.add_option("stats-out", "", "write engine stats JSON here");
+  args.add_option("trace-out", "", "write a Chrome trace of the run here");
+  args.add_option("tune-config", "",
+                  "tune.json from a4nn_tune: per-shape GEMM blocking "
+                  "(empty: use A4NN_TUNE env var, or compiled defaults)");
+  try {
+    args.parse(argc, argv);
+    if (args.help_requested()) {
+      std::printf("%s", args.usage().c_str());
+      return 0;
+    }
+    return run(args);
+  } catch (const util::ArgError& e) {
+    std::fprintf(stderr, "a4nn_serve: %s\n%s", e.what(), args.usage().c_str());
+    return 1;
+  }
 }

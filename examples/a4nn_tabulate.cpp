@@ -19,61 +19,45 @@
 
 using namespace a4nn;
 
-int main(int argc, char** argv) {
-  util::ArgParser args("a4nn_tabulate",
-                       "Exhaustively evaluate a small search space into a "
-                       "genome -> learning-curve table (a journaled, "
-                       "resumable data commons)");
-  args.add_option("commons", "", "table commons directory (required)");
-  args.add_option("phases", "2", "phases in the search space");
-  args.add_option("nodes", "2", "nodes per phase");
-  args.add_option("epochs", "8", "epochs per genome (full curves, no engine)");
-  args.add_option("max-genomes", "4096",
-                  "refuse spaces larger than this many genomes");
-  args.add_option("chunk", "16", "genomes evaluated per scheduler batch");
-  args.add_option("intensity", "medium", "beam intensity: low|medium|high");
-  args.add_option("images", "60", "simulated images per conformation class");
-  args.add_option("pixels", "8", "detector resolution (pixels per side)");
-  args.add_option("gpus", "1", "simulated GPU count");
-  args.add_option("seed", "2023", "experiment seed");
-  args.add_flag("resume", "skip genomes already tabulated in the commons");
-  args.add_option("intra-op-threads", "0",
-                  "worker threads per training kernel (0: default)");
+namespace {
 
-  try {
-    args.parse(argc, argv);
-  } catch (const util::ArgError& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), args.usage().c_str());
-    return 1;
-  }
-  if (args.help_requested()) {
-    std::printf("%s", args.usage().c_str());
-    return 0;
-  }
-  if (args.get("commons").empty()) {
-    std::fprintf(stderr, "a4nn_tabulate: --commons is required\n");
-    return 1;
-  }
-  if (args.get_size("intra-op-threads") > 0)
-    tensor::set_intra_op_threads(args.get_size("intra-op-threads"));
-
+int run(const util::ArgParser& args) {
+  // Every flag is bound before any work starts: a util::ArgError reaches
+  // main, which prints usage.
   nas::SearchSpaceConfig space;
   space.phase_count = args.get_size("phases");
   space.nodes_per_phase = args.get_size("nodes");
   const std::size_t pixels = args.get_size("pixels");
   space.input_shape = {1, pixels, pixels};
+  const std::size_t max_genomes = args.get_size("max-genomes");
+  const std::size_t chunk = std::max<std::size_t>(1, args.get_size("chunk"));
+  const std::size_t intra_op_threads = args.get_size("intra-op-threads");
+  const std::uint64_t seed = args.get_size("seed");
+  xfel::XfelDatasetConfig ds;
+  ds.images_per_class = args.get_size("images");
+  orchestrator::TrainerConfig trainer;
+  trainer.max_epochs = args.get_size("epochs");
+  trainer.use_prediction_engine = false;  // tables hold *full* curves
+  sched::ClusterConfig cluster_cfg;
+  cluster_cfg.num_gpus = args.get_size("gpus");
+  trainer.cost = cluster_cfg.cost;
+  try {
+    ds.intensity = xfel::beam_from_name(args.get("intensity"));
+  } catch (const std::invalid_argument& e) {
+    throw util::ArgError(e.what());
+  }
+  if (args.get("commons").empty())
+    throw util::ArgError("--commons is required");
+  if (intra_op_threads > 0) tensor::set_intra_op_threads(intra_op_threads);
 
   std::vector<nas::Genome> genomes;
-  xfel::XfelDatasetConfig ds;
   try {
-    genomes = nas::enumerate_space(space, args.get_size("max-genomes"));
-    ds.intensity = xfel::beam_from_name(args.get("intensity"));
+    genomes = nas::enumerate_space(space, max_genomes);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "a4nn_tabulate: %s\n", e.what());
     return 1;
   }
 
-  ds.images_per_class = args.get_size("images");
   ds.detector.pixels = pixels;
   const xfel::XfelDataset data = xfel::generate_xfel_dataset(ds);
   space.classes = data.train.num_classes();
@@ -100,22 +84,13 @@ int main(int argc, char** argv) {
   lineage::LineageTracker tracker(tracker_cfg);
   tracker.record_search_config(
       nas::GenomeTable::header_json(space, genomes.size(),
-                                    args.get_size("epochs")));
-
-  orchestrator::TrainerConfig trainer;
-  trainer.max_epochs = args.get_size("epochs");
-  trainer.use_prediction_engine = false;  // tables hold *full* curves
-
-  sched::ClusterConfig cluster_cfg;
-  cluster_cfg.num_gpus = args.get_size("gpus");
-  trainer.cost = cluster_cfg.cost;
+                                    trainer.max_epochs));
 
   orchestrator::TrainingLoop loop(data.train, data.validation, trainer,
                                   &tracker);
   sched::ResourceManager cluster(cluster_cfg);
   orchestrator::WorkflowEvaluator evaluator(
-      loop, cluster, space, static_cast<std::uint64_t>(args.get_double("seed")),
-      &tracker);
+      loop, cluster, space, seed, &tracker);
   // Seeds must be architecture-keyed: a table entry's identity is its
   // genome, never its position in the enumeration.
   nas::FitnessMemo memo(nas::MemoMode::kCold);
@@ -132,7 +107,6 @@ int main(int argc, char** argv) {
               trainer.max_epochs);
 
   util::Timer wall;
-  const std::size_t chunk = std::max<std::size_t>(1, args.get_size("chunk"));
   std::vector<nas::EvaluationRecord> history;
   history.reserve(genomes.size());
   int generation = 0;
@@ -171,4 +145,41 @@ int main(int argc, char** argv) {
               history.size(), evaluator.resumed_count(), failed,
               wall.seconds(), tracker_cfg.root.c_str());
   return failed == 0 ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args("a4nn_tabulate",
+                       "Exhaustively evaluate a small search space into a "
+                       "genome -> learning-curve table (a journaled, "
+                       "resumable data commons)");
+  args.add_option("commons", "", "table commons directory (required)");
+  args.add_option("phases", "2", "phases in the search space");
+  args.add_option("nodes", "2", "nodes per phase");
+  args.add_option("epochs", "8", "epochs per genome (full curves, no engine)");
+  args.add_option("max-genomes", "4096",
+                  "refuse spaces larger than this many genomes");
+  args.add_option("chunk", "16", "genomes evaluated per scheduler batch");
+  args.add_option("intensity", "medium", "beam intensity: low|medium|high");
+  args.add_option("images", "60", "simulated images per conformation class");
+  args.add_option("pixels", "8", "detector resolution (pixels per side)");
+  args.add_option("gpus", "1", "simulated GPU count");
+  args.add_option("seed", "2023", "experiment seed");
+  args.add_flag("resume", "skip genomes already tabulated in the commons");
+  args.add_option("intra-op-threads", "0",
+                  "worker threads per training kernel (0: default)");
+
+  try {
+    args.parse(argc, argv);
+    if (args.help_requested()) {
+      std::printf("%s", args.usage().c_str());
+      return 0;
+    }
+    return run(args);
+  } catch (const util::ArgError& e) {
+    std::fprintf(stderr, "a4nn_tabulate: %s\n%s", e.what(),
+                 args.usage().c_str());
+    return 1;
+  }
 }

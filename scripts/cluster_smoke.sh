@@ -2,9 +2,10 @@
 # Loopback cluster smoke test for a4nn_run's cluster modes:
 #
 #  1. A master (--listen) with two workers (--connect) on 127.0.0.1, one
-#     SIGKILLed mid-generation, must finish with a Pareto front
-#     BIT-identical (hexfloat dump) to plain solo a4nn_run with the same
-#     flags: dispatch, heartbeat-loss detection and re-dispatch in one go.
+#     SIGKILLed while it holds a job, must report at least one re-dispatch
+#     and finish with a Pareto front BIT-identical (hexfloat dump) to plain
+#     solo a4nn_run with the same flags: dispatch, heartbeat-loss detection
+#     and re-dispatch in one go.
 #  2. With non-default engine flags, a master and one matching worker must
 #     match the solo run again, and a worker launched with a different
 #     --function must be rejected at the handshake (exit 2).
@@ -16,8 +17,8 @@ BIN=${1:?usage: cluster_smoke.sh <a4nn_run binary> [workdir]}
 WORK=${2:-$(mktemp -d)}
 mkdir -p "$WORK"
 
-# Calibrated so the solo run takes a few seconds: long enough that the
-# mid-run SIGKILL lands while jobs are in flight, short enough for CI.
+# Calibrated so the solo run takes a few seconds: long enough that w0 is
+# seen holding a job before the run ends, short enough for CI.
 FLAGS=(--population 4 --offspring 4 --generations 3 --epochs 6
        --images 80 --pixels 12 --intensity medium --no-engine
        --gpus 2 --seed 7)
@@ -26,7 +27,8 @@ FLAGS=(--population 4 --offspring 4 --generations 3 --epochs 6
 ENGINE_FLAGS=(--population 3 --offspring 3 --generations 2 --epochs 10
               --images 40 --pixels 10 --function logistic --window 4
               --seed 11)
-KILL_AFTER_S=2.2
+# How long to wait for w0 to start a job before giving up.
+HOLD_TIMEOUT_S=60
 
 PIDS=()
 cleanup() { kill -9 "${PIDS[@]}" 2>/dev/null || true; }
@@ -65,16 +67,29 @@ worker w0 7517 "${FLAGS[@]}"
 W0_PID=$!
 worker w1 7517 "${FLAGS[@]}"
 
-# SIGKILL one worker while its jobs are in flight: the master must detect
-# the silence, re-dispatch, and still finish bit-identically.
-sleep "$KILL_AFTER_S"
-if kill -9 "$W0_PID" 2>/dev/null; then
-    echo "killed worker w0 (pid $W0_PID) after ${KILL_AFTER_S}s"
-else
-    echo "WARNING: worker w0 already exited before the kill" >&2
-fi
+# SIGKILL w0 while it holds a job (its log shows more jobs started than
+# finished): the master must detect the silence, re-dispatch, and still
+# finish bit-identically.
+holding() {
+    local started finished
+    started=$(grep -c ") started$" "$WORK/w0.log" || true)
+    finished=$(grep -c ") finished$" "$WORK/w0.log" || true)
+    [ "$started" -gt "$finished" ]
+}
+waited=0
+until holding; do
+    kill -0 "$W0_PID" 2>/dev/null || fail "worker w0 exited before taking a job"
+    [ "$waited" -lt $((HOLD_TIMEOUT_S * 20)) ] ||
+        fail "worker w0 took no job in ${HOLD_TIMEOUT_S}s"
+    sleep 0.05
+    waited=$((waited + 1))
+done
+kill -9 "$W0_PID" || fail "cannot kill worker w0 (pid $W0_PID)"
+echo "killed worker w0 (pid $W0_PID) while it held a job"
 finish "$MASTER_PID" master.log
 grep -E "^cluster:" "$WORK/master.log" || true
+grep -qE ", [1-9][0-9]* re-dispatch\(es\)" "$WORK/master.log" ||
+    fail "the master re-dispatched no job after w0 was killed holding one"
 same_front solo.pareto cluster.pareto
 
 # The trace's pid-3 lanes must agree with the cluster counters exactly.

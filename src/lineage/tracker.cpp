@@ -1,12 +1,19 @@
 #include "lineage/tracker.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <charconv>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
+#include "nn/packed.hpp"
 #include "util/checksum.hpp"
 #include "util/frame.hpp"
 #include "util/log.hpp"
@@ -56,6 +63,43 @@ std::optional<std::size_t> parse_indexed_name(std::string_view name,
 
 std::string read_artifact(const fs::path& path) {
   return util::unframe_or_legacy(util::read_file(path)).payload;
+}
+
+std::string encode_training_state(
+    const util::Json& doc,
+    const std::vector<std::span<const float>>& velocity) {
+  std::vector<nn::PackedSection> sections;
+  sections.reserve(velocity.size());
+  for (const auto& v : velocity) sections.push_back({{v.size()}, v});
+  return nn::encode_packed(doc, sections);
+}
+
+TrainingState decode_training_state(std::string_view payload) {
+  TrainingState out;
+  if (nn::is_packed(payload)) {
+    nn::PackedPayload packed = nn::decode_packed(payload);
+    out.doc = std::move(packed.header);
+    out.velocity = std::move(packed.sections);
+  } else {
+    out.doc = util::Json::parse(std::string(payload));
+    if (out.doc.contains("optimizer") &&
+        out.doc.at("optimizer").contains("velocity")) {
+      util::Json& optimizer = out.doc["optimizer"];
+      for (const auto& buffer : optimizer.at("velocity").as_array()) {
+        std::vector<float> v;
+        v.reserve(buffer.as_array().size());
+        for (const auto& x : buffer.as_array())
+          v.push_back(static_cast<float>(x.as_number()));
+        const std::size_t n = v.size();
+        out.velocity.emplace_back(tensor::Shape{n}, std::move(v));
+      }
+      optimizer.as_object().erase("velocity");
+    }
+  }
+  for (const char* key : {"epoch", "rng", "optimizer", "record"})
+    if (!out.doc.contains(key))
+      throw util::JsonError(std::string("training state missing ") + key);
+  return out;
 }
 
 namespace {
@@ -132,6 +176,69 @@ std::size_t parse_manifest(std::string_view text,
   return torn;
 }
 
+/// Journal path of a file in a model's directory.
+std::string model_file(int model_id, const std::string& name) {
+  return "models/" + model_dir_name(model_id) + "/" + name;
+}
+
+/// The process's one lineage writer thread: every tracker queues its
+/// epoch commits here and they run in call order. It starts with the first
+/// commit and never stops, so tracker lifetimes do not churn threads (a
+/// new thread can take a different allocator arena and grow the resident
+/// set). A forked child inherits the object but not the thread, so it
+/// builds its own.
+class CommitWriter {
+ public:
+  CommitWriter() = default;
+  CommitWriter(const CommitWriter&) = delete;
+  CommitWriter& operator=(const CommitWriter&) = delete;
+
+  static CommitWriter& instance() {
+    static std::atomic<CommitWriter*> current{nullptr};
+    CommitWriter* writer = current.load();
+    if (writer == nullptr || writer->pid_ != ::getpid()) {
+      auto* fresh = new CommitWriter();
+      if (current.compare_exchange_strong(writer, fresh))
+        writer = fresh;
+      else
+        delete fresh;  // another thread installed one first
+    }
+    return *writer;
+  }
+
+  /// Queue `job`; the future carries its completion or its exception.
+  std::shared_future<void> submit(std::function<void()> job) {
+    std::packaged_task<void()> task(std::move(job));
+    std::shared_future<void> done = task.get_future().share();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!thread_.joinable()) thread_ = std::thread([this] { run(); });
+      queue_.push_back(std::move(task));
+    }
+    ready_.notify_one();
+    return done;
+  }
+
+ private:
+  void run() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      ready_.wait(lock, [this] { return !queue_.empty(); });
+      std::packaged_task<void()> task = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      task();
+      lock.lock();
+    }
+  }
+
+  const pid_t pid_ = ::getpid();
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::deque<std::packaged_task<void()>> queue_;
+  std::thread thread_;
+};
+
 }  // namespace
 
 LineageTracker::LineageTracker(TrackerConfig config)
@@ -140,9 +247,13 @@ LineageTracker::LineageTracker(TrackerConfig config)
     throw std::invalid_argument("LineageTracker: empty root path");
   util::ensure_dir(config_.root);
   util::ensure_dir(config_.root / "models");
-  // Resume on an existing commons: adopt the surviving journal so appends
-  // supersede instead of clobbering. Torn lines are dropped here and
-  // repaired on disk by the next commit or a deep fsck.
+  const util::Durability durability = config_.durable
+                                          ? util::Durability::kFsync
+                                          : util::Durability::kBuffered;
+  // Resume on an existing commons: appends supersede the surviving
+  // entries. A torn or unterminated tail would swallow the next appended
+  // line, so it is cut off once here by an atomic rewrite of the valid
+  // lines.
   const fs::path journal = config_.root / manifest_file_name();
   if (fs::exists(journal)) {
     std::string text;
@@ -153,55 +264,70 @@ LineageTracker::LineageTracker(TrackerConfig config)
     }
     std::vector<ManifestEntry> entries;
     const std::size_t torn = parse_manifest(text, entries);
-    if (torn > 0)
+    if (torn > 0) {
       util::log_warn("tracker: dropped ", torn, " torn journal line(s)");
-    for (const auto& entry : entries) {
-      journal_text_ += manifest_line(entry);
-      journal_text_ += '\n';
+      std::string repaired;
+      for (const auto& entry : entries) repaired += manifest_line(entry) + '\n';
+      util::write_file(journal, repaired, durability);
     }
   }
+  journal_ = std::make_unique<util::AppendFile>(journal, durability);
 }
 
-void LineageTracker::commit_locked(const fs::path& path,
-                                   const std::string& payload,
-                                   util::Durability durability) {
+LineageTracker::~LineageTracker() {
+  std::shared_future<void> last;
+  {
+    std::lock_guard<std::mutex> lock(queued_mutex_);
+    last = last_queued_;
+  }
+  if (last.valid()) last.wait();
+}
+
+void LineageTracker::commit(const std::vector<Artifact>& artifacts,
+                            util::Durability durability) {
   util::trace::Scope span("journal.commit", "lineage");
   if (!config_.durable) durability = util::Durability::kBuffered;
-  const std::string framed = util::frame(payload);
-  util::write_file(path, framed, durability);
+  std::vector<std::string> framed;
+  framed.reserve(artifacts.size());
+  std::string lines;
+  double artifact_bytes = 0.0;
+  for (const Artifact& artifact : artifacts) {
+    framed.push_back(util::frame(artifact.payload));
+    ManifestEntry entry;
+    entry.rel = artifact.rel;
+    entry.size = framed.back().size();
+    entry.crc = util::crc32(framed.back());
+    lines += manifest_line(entry) + '\n';
+    artifact_bytes += static_cast<double>(entry.size);
+  }
+  std::vector<util::FileWrite> writes;
+  for (std::size_t i = 0; i < artifacts.size(); ++i)
+    writes.push_back({config_.root / artifacts[i].rel, framed[i]});
 
-  ManifestEntry entry;
-  entry.rel = fs::relative(path, config_.root).generic_string();
-  entry.size = framed.size();
-  entry.crc = util::crc32(framed);
-  journal_text_ += manifest_line(entry);
-  journal_text_ += '\n';
-  const util::Durability journal_durability = config_.durable
-                                                  ? util::Durability::kFsync
-                                                  : util::Durability::kBuffered;
-  util::Timer fsync_timer;
-  util::write_file(config_.root / manifest_file_name(), journal_text_,
-                   journal_durability);
-  const double journal_write_seconds = fsync_timer.seconds();
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Artifacts before their journal lines: a crash in between leaves
+  // framed, unjournaled files that fsck adopts.
+  util::write_files(writes, durability);
+  util::Timer journal_timer;
+  journal_->append(lines);
+  const double journal_write_seconds = journal_timer.seconds();
 
-  const double bytes =
-      static_cast<double>(framed.size() + journal_text_.size());
   if (metrics_) {
-    metrics_->counter("journal.commits").add();
-    metrics_->counter("journal.bytes_written").add(bytes);
-    if (journal_durability == util::Durability::kFsync)
+    metrics_->counter("journal.commits")
+        .add(static_cast<double>(artifacts.size()));
+    metrics_->counter("journal.bytes_written")
+        .add(artifact_bytes + static_cast<double>(lines.size()));
+    if (config_.durable)
       metrics_->counter("journal.fsync_seconds").add(journal_write_seconds);
   }
-  span.arg("artifact_bytes", static_cast<double>(framed.size()));
-  span.arg("journal_bytes", static_cast<double>(journal_text_.size()));
+  span.arg("artifact_bytes", artifact_bytes);
+  span.arg("journal_bytes", static_cast<double>(lines.size()));
   span.arg("journal_write_seconds", journal_write_seconds);
 }
 
 void LineageTracker::record_search_config(const util::Json& config) {
   if (sealed_.load()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(config_.root / "search.json", config.dump(2),
-                util::Durability::kBuffered);
+  commit({{"search.json", config.dump(2)}}, util::Durability::kBuffered);
 }
 
 void LineageTracker::record_artifact(const std::string& rel_path,
@@ -211,42 +337,49 @@ void LineageTracker::record_artifact(const std::string& rel_path,
       rel_path.find("..") != std::string::npos)
     throw std::invalid_argument(
         "record_artifact: rel_path must be a plain root-level file name");
-  std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(config_.root / rel_path, doc.dump(2),
-                util::Durability::kBuffered);
+  commit({{rel_path, doc.dump(2)}}, util::Durability::kBuffered);
 }
 
 bool LineageTracker::wants_snapshot(std::size_t epoch) const {
   return config_.snapshot_every > 0 && epoch % config_.snapshot_every == 0;
 }
 
-fs::path LineageTracker::model_dir(int model_id) const {
-  return config_.root / "models" / model_dir_name(model_id);
-}
-
 void LineageTracker::record_model_epoch(int model_id, std::size_t epoch,
                                         const nn::Model& model) {
   if (sealed_.load()) return;
-  const util::Json ckpt = model.checkpoint();
-  std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(model_dir(model_id) / snapshot_file_name(epoch), ckpt.dump(),
-                util::Durability::kFsync);
+  commit({{model_file(model_id, snapshot_file_name(epoch)),
+           model.encode_checkpoint()}},
+         util::Durability::kFsync);
 }
 
-void LineageTracker::record_training_state(int model_id, std::size_t epoch,
-                                           const util::Json& state) {
-  if (sealed_.load()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(model_dir(model_id) / training_state_file_name(epoch),
-                state.dump(), util::Durability::kFsync);
+std::shared_future<void> LineageTracker::record_epoch(
+    int model_id, std::size_t epoch, const nn::Model& model,
+    const util::Json& state,
+    const std::vector<std::span<const float>>& velocity) {
+  if (sealed_.load()) {
+    std::promise<void> dropped;
+    dropped.set_value();
+    return dropped.get_future().share();
+  }
+  std::vector<Artifact> artifacts = {
+      {model_file(model_id, snapshot_file_name(epoch)),
+       model.encode_checkpoint()},
+      {model_file(model_id, training_state_file_name(epoch)),
+       encode_training_state(state, velocity)}};
+  std::lock_guard<std::mutex> lock(queued_mutex_);
+  last_queued_ = CommitWriter::instance().submit(
+      [this, artifacts = std::move(artifacts)] {
+        // Sealed: the process is "dead", so queued writes vanish too.
+        if (!sealed_.load()) commit(artifacts, util::Durability::kFsync);
+      });
+  return last_queued_;
 }
 
 void LineageTracker::record_evaluation(const nas::EvaluationRecord& record) {
   if (sealed_.load()) return;
-  const util::Json j = record.to_json();
-  std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(model_dir(record.model_id) / "record.json", j.dump(2),
-                util::Durability::kBuffered);
+  commit({{model_file(record.model_id, "record.json"),
+           record.to_json().dump(2)}},
+         util::Durability::kBuffered);
 }
 
 DataCommons::DataCommons(fs::path root) : root_(std::move(root)) {
@@ -317,14 +450,14 @@ std::vector<std::size_t> DataCommons::training_state_epochs(
 nn::Model DataCommons::load_model(int model_id, std::size_t epoch) const {
   const fs::path path =
       root_ / "models" / model_dir_name(model_id) / snapshot_file_name(epoch);
-  return nn::Model::from_checkpoint(util::Json::parse(read_artifact(path)));
+  return nn::Model::decode_checkpoint(read_artifact(path));
 }
 
-util::Json DataCommons::load_training_state(int model_id,
-                                            std::size_t epoch) const {
+TrainingState DataCommons::load_training_state(int model_id,
+                                               std::size_t epoch) const {
   const fs::path path = root_ / "models" / model_dir_name(model_id) /
                         training_state_file_name(epoch);
-  return util::Json::parse(read_artifact(path));
+  return decode_training_state(read_artifact(path));
 }
 
 util::Json DataCommons::load_artifact(const std::string& rel_path) const {
@@ -400,16 +533,15 @@ FsckReport DataCommons::fsck(FsckMode mode) {
       const std::string name = file.filename().string();
       if (name.rfind("epoch_", 0) != 0) continue;
       try {
-        const util::Json j = util::Json::parse(read_artifact(file));
-        if (name.ends_with(".ckpt.json")) {
-          if (!j.contains("spec") || !j.contains("weights") ||
-              !j.contains("input_shape"))
-            throw util::JsonError("checkpoint missing spec/weights");
-        } else if (name.ends_with(".state.json")) {
-          if (!j.contains("epoch") || !j.contains("rng") ||
-              !j.contains("optimizer") || !j.contains("record"))
-            throw util::JsonError("training state missing required fields");
-        }
+        // The same decoders every reader uses, so a file fsck keeps is a
+        // file resume, serve and stream can load, in either format.
+        const std::string payload = read_artifact(file);
+        if (name.ends_with(".ckpt.json"))
+          nn::Model::decode_checkpoint(payload);
+        else if (name.ends_with(".state.json"))
+          decode_training_state(payload);
+        else
+          util::Json::parse(payload);
       } catch (const std::exception& e) {
         quarantine_file(root_, file, e.what(), report);
       }

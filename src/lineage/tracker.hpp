@@ -15,13 +15,19 @@
 //   <root>/search.json                     search + engine + dataset config
 //   <root>/manifest.journal                {line-crc, artifact-crc, size, path}
 //   <root>/models/model_00042/record.json  EvaluationRecord
-//   <root>/models/model_00042/epoch_0007.ckpt.json  model snapshot (optional)
+//   <root>/models/model_00042/epoch_0007.ckpt.json   model snapshot (optional)
+//   <root>/models/model_00042/epoch_0007.state.json  training state (optional)
+// Snapshots and training states are packed payloads (nn/packed.hpp) despite
+// the historical .json suffix; JSON ones from older trees still load.
 #pragma once
 
 #include <atomic>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "nas/evaluator.hpp"
@@ -42,9 +48,35 @@ struct TrackerConfig {
   bool durable = true;
 };
 
+/// A training-state artifact: the document (model_id, epoch, converged,
+/// rng, record histories, optimizer kind) and the optimizer's momentum
+/// buffers, one per parameter slot (empty for a slot never stepped).
+struct TrainingState {
+  util::Json doc;
+  std::vector<tensor::Tensor> velocity;
+};
+
+/// Packed training-state payload: `doc` is the header and each velocity
+/// buffer one float32 section.
+std::string encode_training_state(
+    const util::Json& doc,
+    const std::vector<std::span<const float>>& velocity);
+
+/// Decode a stored training state in either format: packed, or the JSON
+/// document holding the buffers under optimizer.velocity. Both yield the
+/// same doc (without optimizer.velocity) and buffers. Throws when the
+/// payload is malformed or a required field (epoch, rng, optimizer,
+/// record) is missing.
+TrainingState decode_training_state(std::string_view payload);
+
 class LineageTracker {
  public:
   explicit LineageTracker(TrackerConfig config);
+  /// Waits until every epoch this tracker queued is committed (or, once
+  /// sealed, dropped).
+  ~LineageTracker();
+  LineageTracker(const LineageTracker&) = delete;
+  LineageTracker& operator=(const LineageTracker&) = delete;
 
   /// Persist the experiment-level configuration document.
   void record_search_config(const util::Json& config);
@@ -59,13 +91,22 @@ class LineageTracker {
   void record_model_epoch(int model_id, std::size_t epoch,
                           const nn::Model& model);
 
+  /// Persist one snapshotted epoch: the model snapshot and the full
+  /// training state (`state` document plus optimizer `velocity`) captured
+  /// after it, enabling bit-exact mid-training resume. Both are encoded
+  /// before this returns, so the caller may go on training; they commit
+  /// on the process's lineage writer thread, in call order, behind one
+  /// durability barrier: the two files are staged and synced, renamed,
+  /// their directory synced once, then both journal lines appended in one
+  /// write and synced once. The epoch is durable once the returned future
+  /// is ready; get() rethrows a failed commit. Thread-safe.
+  std::shared_future<void> record_epoch(
+      int model_id, std::size_t epoch, const nn::Model& model,
+      const util::Json& state,
+      const std::vector<std::span<const float>>& velocity);
+
   /// Persist the final record trail of a trained network. Thread-safe.
   void record_evaluation(const nas::EvaluationRecord& record);
-
-  /// Persist the full training state (optimizer, RNG, histories) captured
-  /// after `epoch`, enabling bit-exact mid-training resume. Thread-safe.
-  void record_training_state(int model_id, std::size_t epoch,
-                             const util::Json& state);
 
   /// Whether a snapshot should be taken at this epoch.
   bool wants_snapshot(std::size_t epoch) const;
@@ -78,25 +119,35 @@ class LineageTracker {
 
   const std::filesystem::path& root() const { return config_.root; }
 
-  /// Attach a metrics registry: journal commits, bytes written, and fsync
-  /// time are counted there. Pass nullptr to detach; the registry must
-  /// outlive the tracker.
+  /// Attach a metrics registry: journal commits (one per artifact), bytes
+  /// written, and journal append time are counted there. Pass nullptr to
+  /// detach; the registry must outlive the tracker.
   void set_metrics(util::metrics::Registry* registry) { metrics_ = registry; }
 
  private:
-  std::filesystem::path model_dir(int model_id) const;
-  /// Frame `payload`, commit it to `path`, and append a manifest-journal
-  /// entry under an atomic journal rename. Caller holds mutex_.
-  void commit_locked(const std::filesystem::path& path,
-                     const std::string& payload, util::Durability durability);
+  /// One artifact of a commit: its path relative to the root, as the
+  /// journal names it, and its unframed payload.
+  struct Artifact {
+    std::string rel;
+    std::string payload;
+  };
+
+  /// Frame every artifact, commit them as one group, then append their
+  /// manifest-journal lines in one write. Takes mutex_.
+  void commit(const std::vector<Artifact>& artifacts,
+              util::Durability durability);
 
   TrackerConfig config_;
   std::mutex mutex_;
   std::atomic<bool> sealed_{false};
   util::metrics::Registry* metrics_ = nullptr;
-  /// In-memory image of the manifest journal (valid lines only), appended
-  /// on every commit and rewritten to disk atomically.
-  std::string journal_text_;
+  /// The manifest journal, open for appending.
+  std::unique_ptr<util::AppendFile> journal_;
+
+  /// The last epoch commit this tracker queued. The writer runs commits
+  /// in order, so it is ready once all of them are.
+  std::mutex queued_mutex_;
+  std::shared_future<void> last_queued_;
 };
 
 /// One problem found (and fixed) by DataCommons::fsck.
@@ -176,8 +227,8 @@ class DataCommons {
   std::vector<std::size_t> training_state_epochs(int model_id) const;
   /// Reload the model state captured after `epoch`.
   nn::Model load_model(int model_id, std::size_t epoch) const;
-  /// Reload the training-state document captured after `epoch`.
-  util::Json load_training_state(int model_id, std::size_t epoch) const;
+  /// Reload the training state captured after `epoch`.
+  TrainingState load_training_state(int model_id, std::size_t epoch) const;
 
   /// Reload a run-level artifact persisted via record_artifact.
   util::Json load_artifact(const std::string& rel_path) const;

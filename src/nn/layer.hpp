@@ -2,10 +2,10 @@
 //
 // Every layer owns its parameters and gradient buffers, implements
 // forward/backward, reports FLOPs per image (the second NAS objective),
-// and serializes both its hyperparameter spec and its weights to JSON so
-// the lineage tracker can snapshot a model after every training epoch and
-// reload it from any point — the paper's "re-evaluate from any point in
-// the training phase" requirement.
+// and exposes its hyperparameter spec (JSON) and its weight state (a fixed
+// list of tensors) so the lineage tracker can snapshot a model after every
+// training epoch and reload it from any point — the paper's "re-evaluate
+// from any point in the training phase" requirement.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,8 @@ using tensor::Shape;
 using tensor::Tensor;
 
 /// A mutable view of one parameter tensor and its gradient, handed to the
-/// optimizer. Views stay valid for the lifetime of the owning layer.
+/// optimizer. Views stay valid for the lifetime of the owning layer. In
+/// state() views, buffers that are not trained have no gradient.
 struct ParamSlot {
   std::string name;
   Tensor* value = nullptr;
@@ -63,11 +64,19 @@ class Layer {
   /// Hyperparameter spec (architecture description, no weights).
   virtual util::Json spec() const = 0;
 
-  /// Weight snapshot; default for stateless layers is an empty object.
-  virtual util::Json weights() const { return util::Json::object(); }
+  /// Every tensor of the weight snapshot, in a fixed order: the
+  /// parameters plus untrained buffers such as batch-norm running
+  /// statistics. The packed checkpoint stores exactly these, in this
+  /// order. Default: params().
+  virtual std::vector<ParamSlot> state() { return params(); }
 
-  /// Restore weights from a snapshot produced by weights().
-  virtual void load_weights(const util::Json& w) { (void)w; }
+  /// Weight snapshot as JSON: one {"shape", "data"} node per state()
+  /// tensor, keyed by slot name.
+  virtual util::Json weights() const;
+
+  /// Restore weights from a snapshot produced by weights(). Every tensor
+  /// is parsed and shape-checked before any is replaced.
+  virtual void load_weights(const util::Json& w);
 
   /// Zero all parameter gradients.
   void zero_grad() {
@@ -80,5 +89,10 @@ using LayerPtr = std::unique_ptr<Layer>;
 /// Serialization helpers shared by layer implementations.
 util::Json tensor_to_json(const Tensor& t);
 Tensor tensor_from_json(const util::Json& j);
+
+/// Replace `layer`'s state() tensors, in order, by `tensors`. Throws
+/// std::invalid_argument, before replacing any, when the count or a shape
+/// differs.
+void load_state(Layer& layer, std::vector<Tensor> tensors);
 
 }  // namespace a4nn::nn

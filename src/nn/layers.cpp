@@ -43,6 +43,38 @@ Tensor tensor_from_json(const util::Json& j) {
   return Tensor(std::move(shape), std::move(data));
 }
 
+util::Json Layer::weights() const {
+  util::Json j = util::Json::object();
+  // state() hands out mutable views; nothing is written through them here.
+  for (const auto& slot : const_cast<Layer*>(this)->state())
+    j[slot.name] = tensor_to_json(*slot.value);
+  return j;
+}
+
+void Layer::load_weights(const util::Json& w) {
+  std::vector<Tensor> tensors;
+  for (const auto& slot : state())
+    tensors.push_back(tensor_from_json(w.at(slot.name)));
+  load_state(*this, std::move(tensors));
+}
+
+void load_state(Layer& layer, std::vector<Tensor> tensors) {
+  auto slots = layer.state();
+  if (tensors.size() != slots.size())
+    throw std::invalid_argument(
+        layer.kind() + "::load_weights: " + std::to_string(tensors.size()) +
+        " tensor(s) for " + std::to_string(slots.size()) + " state slot(s)");
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    if (!tensors[i].same_shape(*slots[i].value))
+      throw std::invalid_argument(layer.kind() + "::load_weights: shape " +
+                                  tensor::shape_to_string(tensors[i].shape()) +
+                                  " for " + slots[i].name + " " +
+                                  tensor::shape_to_string(
+                                      slots[i].value->shape()));
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    *slots[i].value = std::move(tensors[i]);
+}
+
 namespace {
 
 void check_rank4(const Shape& s, const char* who) {
@@ -249,22 +281,6 @@ util::Json Conv2d::spec() const {
   return j;
 }
 
-util::Json Conv2d::weights() const {
-  util::Json j = util::Json::object();
-  j["weight"] = tensor_to_json(weight_);
-  j["bias"] = tensor_to_json(bias_);
-  return j;
-}
-
-void Conv2d::load_weights(const util::Json& w) {
-  Tensor weight = tensor_from_json(w.at("weight"));
-  Tensor bias = tensor_from_json(w.at("bias"));
-  if (!weight.same_shape(weight_) || !bias.same_shape(bias_))
-    throw std::invalid_argument("Conv2d::load_weights: shape mismatch");
-  weight_ = std::move(weight);
-  bias_ = std::move(bias);
-}
-
 // ---------------------------------------------------------------- Linear
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
@@ -385,22 +401,6 @@ util::Json Linear::spec() const {
   j["out_features"] = out_features_;
   if (act_ != Activation::kNone) j["activation"] = activation_name(act_);
   return j;
-}
-
-util::Json Linear::weights() const {
-  util::Json j = util::Json::object();
-  j["weight"] = tensor_to_json(weight_);
-  j["bias"] = tensor_to_json(bias_);
-  return j;
-}
-
-void Linear::load_weights(const util::Json& w) {
-  Tensor weight = tensor_from_json(w.at("weight"));
-  Tensor bias = tensor_from_json(w.at("bias"));
-  if (!weight.same_shape(weight_) || !bias.same_shape(bias_))
-    throw std::invalid_argument("Linear::load_weights: shape mismatch");
-  weight_ = std::move(weight);
-  bias_ = std::move(bias);
 }
 
 // ---------------------------------------------------------------- ReLU
@@ -754,22 +754,11 @@ util::Json BatchNorm2d::spec() const {
   return j;
 }
 
-util::Json BatchNorm2d::weights() const {
-  util::Json j = util::Json::object();
-  j["gamma"] = tensor_to_json(gamma_);
-  j["beta"] = tensor_to_json(beta_);
-  j["running_mean"] = tensor_to_json(running_mean_);
-  j["running_var"] = tensor_to_json(running_var_);
-  return j;
-}
-
-void BatchNorm2d::load_weights(const util::Json& w) {
-  gamma_ = tensor_from_json(w.at("gamma"));
-  beta_ = tensor_from_json(w.at("beta"));
-  running_mean_ = tensor_from_json(w.at("running_mean"));
-  running_var_ = tensor_from_json(w.at("running_var"));
-  if (gamma_.numel() != channels_)
-    throw std::invalid_argument("BatchNorm2d::load_weights: shape mismatch");
+std::vector<ParamSlot> BatchNorm2d::state() {
+  auto slots = params();
+  slots.push_back({"running_mean", &running_mean_, nullptr});
+  slots.push_back({"running_var", &running_var_, nullptr});
+  return slots;
 }
 
 }  // namespace a4nn::nn

@@ -36,8 +36,6 @@ class Conv2d : public Layer {
   std::uint64_t flops(const Shape& in) const override;
   std::string kind() const override { return "conv2d"; }
   util::Json spec() const override;
-  util::Json weights() const override;
-  void load_weights(const util::Json& w) override;
 
   std::size_t in_channels() const { return in_channels_; }
   std::size_t out_channels() const { return out_channels_; }
@@ -72,8 +70,6 @@ class Linear : public Layer {
   std::uint64_t flops(const Shape& in) const override;
   std::string kind() const override { return "linear"; }
   util::Json spec() const override;
-  util::Json weights() const override;
-  void load_weights(const util::Json& w) override;
 
  private:
   std::size_t in_features_, out_features_;
@@ -171,12 +167,12 @@ class BatchNorm2d : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamSlot> params() override;
+  /// params() plus the running mean and variance.
+  std::vector<ParamSlot> state() override;
   Shape output_shape(const Shape& in) const override { return in; }
   std::uint64_t flops(const Shape& in) const override;
   std::string kind() const override { return "batchnorm2d"; }
   util::Json spec() const override;
-  util::Json weights() const override;
-  void load_weights(const util::Json& w) override;
 
  private:
   std::size_t channels_;

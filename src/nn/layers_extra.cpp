@@ -219,26 +219,6 @@ util::Json SeparableConv2d::spec() const {
   return j;
 }
 
-util::Json SeparableConv2d::weights() const {
-  util::Json j = util::Json::object();
-  j["dw_weight"] = tensor_to_json(dw_weight_);
-  j["pw_weight"] = tensor_to_json(pw_weight_);
-  j["bias"] = tensor_to_json(bias_);
-  return j;
-}
-
-void SeparableConv2d::load_weights(const util::Json& w) {
-  Tensor dw = tensor_from_json(w.at("dw_weight"));
-  Tensor pw = tensor_from_json(w.at("pw_weight"));
-  Tensor b = tensor_from_json(w.at("bias"));
-  if (!dw.same_shape(dw_weight_) || !pw.same_shape(pw_weight_) ||
-      !b.same_shape(bias_))
-    throw std::invalid_argument("SeparableConv2d::load_weights: shape mismatch");
-  dw_weight_ = std::move(dw);
-  pw_weight_ = std::move(pw);
-  bias_ = std::move(b);
-}
-
 // --------------------------------------------------------------- AvgPool2d
 
 AvgPool2d::AvgPool2d(std::size_t window) : window_(window) {

@@ -24,8 +24,6 @@ class SeparableConv2d : public Layer {
   std::uint64_t flops(const Shape& in) const override;
   std::string kind() const override { return "sepconv2d"; }
   util::Json spec() const override;
-  util::Json weights() const override;
-  void load_weights(const util::Json& w) override;
 
  private:
   std::size_t in_channels_, out_channels_, kernel_, pad_;

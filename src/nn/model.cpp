@@ -4,6 +4,7 @@
 
 #include "nn/factory.hpp"
 #include "nn/loss.hpp"
+#include "nn/packed.hpp"
 
 namespace a4nn::nn {
 
@@ -79,26 +80,62 @@ std::size_t Model::parameter_count() {
   return n;
 }
 
-util::Json Model::checkpoint() const {
+namespace {
+
+/// {"input_shape", "spec"}: everything of a checkpoint but the weights.
+util::Json checkpoint_header(const Shape& input_shape,
+                             const Sequential& trunk) {
   util::Json j = util::Json::object();
   util::JsonArray shape;
-  for (std::size_t d : input_shape_) shape.emplace_back(d);
+  for (std::size_t d : input_shape) shape.emplace_back(d);
   j["input_shape"] = util::Json(std::move(shape));
-  j["spec"] = trunk_->spec();
+  j["spec"] = trunk.spec();
+  return j;
+}
+
+Shape input_shape_from(const util::Json& header) {
+  Shape input_shape;
+  for (const auto& d : header.at("input_shape").as_array())
+    input_shape.push_back(static_cast<std::size_t>(d.as_int()));
+  return input_shape;
+}
+
+/// The trunk of `header`'s spec. The RNG only seeds throwaway initial
+/// weights; the snapshot overwrites them, so any fixed seed gives
+/// identical results.
+std::unique_ptr<Sequential> trunk_from(const util::Json& header) {
+  util::Rng rng(0);
+  return make_sequential(header.at("spec"), rng);
+}
+
+}  // namespace
+
+util::Json Model::checkpoint() const {
+  util::Json j = checkpoint_header(input_shape_, *trunk_);
   j["weights"] = trunk_->weights();
   return j;
 }
 
 Model Model::from_checkpoint(const util::Json& ckpt) {
-  Shape input_shape;
-  for (const auto& d : ckpt.at("input_shape").as_array())
-    input_shape.push_back(static_cast<std::size_t>(d.as_int()));
-  // The RNG only seeds throwaway initial weights; the snapshot overwrites
-  // them, so any fixed seed gives identical results.
-  util::Rng rng(0);
-  auto trunk = make_sequential(ckpt.at("spec"), rng);
+  auto trunk = trunk_from(ckpt);
   trunk->load_weights(ckpt.at("weights"));
-  return Model(std::move(trunk), std::move(input_shape));
+  return Model(std::move(trunk), input_shape_from(ckpt));
+}
+
+std::string Model::encode_checkpoint() const {
+  std::vector<PackedSection> sections;
+  for (const auto& slot : trunk_->state())
+    sections.push_back({slot.value->shape(), slot.value->span()});
+  return encode_packed(checkpoint_header(input_shape_, *trunk_), sections);
+}
+
+Model Model::decode_checkpoint(std::string_view payload) {
+  if (!is_packed(payload))
+    return from_checkpoint(util::Json::parse(std::string(payload)));
+  PackedPayload packed = decode_packed(payload);
+  auto trunk = trunk_from(packed.header);
+  load_state(*trunk, std::move(packed.sections));
+  return Model(std::move(trunk), input_shape_from(packed.header));
 }
 
 }  // namespace a4nn::nn

@@ -1,9 +1,10 @@
 // A trainable classifier: a Sequential trunk plus training/evaluation
-// driver methods, FLOPs/parameter accounting, and whole-model JSON
-// checkpoints (spec + weights) that the lineage tracker stores per epoch.
+// driver methods, FLOPs/parameter accounting, and whole-model checkpoints
+// (spec + weights) that the lineage tracker stores per epoch.
 #pragma once
 
 #include <memory>
+#include <string_view>
 
 #include "nn/dataset.hpp"
 #include "nn/optimizer.hpp"
@@ -38,10 +39,21 @@ class Model {
   Sequential& trunk() { return *trunk_; }
   const Sequential& trunk() const { return *trunk_; }
 
-  /// Full checkpoint: {"input_shape", "spec", "weights"}.
+  /// Full checkpoint as JSON: {"input_shape", "spec", "weights"}.
   util::Json checkpoint() const;
-  /// Rebuild a model (architecture + weights) from a checkpoint.
+  /// Rebuild a model (architecture + weights) from a JSON checkpoint.
   static Model from_checkpoint(const util::Json& ckpt);
+
+  /// Packed checkpoint (nn/packed.hpp), the form the commons stores:
+  /// header {"input_shape", "spec"} and one float32 section per trunk
+  /// state() tensor. Bit-exact, with no per-element JSON node.
+  std::string encode_checkpoint() const;
+  /// Rebuild a model from a stored checkpoint payload in either format:
+  /// packed, or the JSON document of checkpoint(). The one decoder behind
+  /// every reader of commons snapshots. Throws PackedError or JsonError
+  /// on a malformed payload and std::invalid_argument when the tensors do
+  /// not fit the spec.
+  static Model decode_checkpoint(std::string_view payload);
 
  private:
   std::unique_ptr<Sequential> trunk_;

@@ -27,37 +27,32 @@ void Sgd::step(std::vector<ParamSlot>& slots) {
   }
 }
 
-util::Json Sgd::state_json(const std::vector<ParamSlot>& slots) const {
-  util::Json velocities = util::Json::array();
+std::vector<std::span<const float>> Sgd::velocities(
+    const std::vector<ParamSlot>& slots) const {
+  std::vector<std::span<const float>> out;
+  out.reserve(slots.size());
   for (const auto& slot : slots) {
-    util::JsonArray arr;
     const auto it = velocity_.find(slot.value);
-    if (it != velocity_.end()) {
-      arr.reserve(it->second.size());
-      for (float v : it->second) arr.emplace_back(static_cast<double>(v));
-    }
-    velocities.push_back(util::Json(std::move(arr)));
+    out.push_back(it == velocity_.end() ? std::span<const float>{}
+                                        : std::span<const float>(it->second));
   }
-  util::Json j = util::Json::object();
-  j["kind"] = kind();
-  j["velocity"] = std::move(velocities);
-  return j;
+  return out;
 }
 
-void Sgd::load_state(const std::vector<ParamSlot>& slots,
-                     const util::Json& j) {
-  const auto& velocities = j.at("velocity").as_array();
+void Sgd::load_velocities(const std::vector<ParamSlot>& slots,
+                          const std::vector<Tensor>& velocities) {
   if (velocities.size() != slots.size())
-    throw std::invalid_argument("Sgd::load_state: slot count mismatch");
+    throw std::invalid_argument("Sgd::load_velocities: slot count mismatch");
+  for (std::size_t s = 0; s < slots.size(); ++s)
+    if (velocities[s].numel() != 0 &&
+        velocities[s].numel() != slots[s].value->numel())
+      throw std::invalid_argument(
+          "Sgd::load_velocities: velocity size mismatch");
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    const auto& arr = velocities[s].as_array();
-    if (arr.empty()) continue;  // slot never stepped before the checkpoint
-    if (arr.size() != slots[s].value->numel())
-      throw std::invalid_argument("Sgd::load_state: velocity size mismatch");
-    auto& vel = velocity_[slots[s].value];
-    vel.resize(arr.size());
-    for (std::size_t i = 0; i < arr.size(); ++i)
-      vel[i] = static_cast<float>(arr[i].as_number());
+    // A slot never stepped before the checkpoint has no buffer.
+    if (velocities[s].numel() == 0) continue;
+    const auto v = velocities[s].span();
+    velocity_[slots[s].value].assign(v.begin(), v.end());
   }
 }
 

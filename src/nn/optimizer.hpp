@@ -1,6 +1,7 @@
 // First-order optimizers operating on ParamSlot views.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 
 #include "nn/layer.hpp"
@@ -26,11 +27,14 @@ class Sgd : public Optimizer {
   double learning_rate() const { return lr_; }
   void set_learning_rate(double lr) { lr_ = lr; }
 
-  /// Momentum buffers as JSON, one array per slot in slot order. Part of
-  /// the training-state checkpoint that makes mid-run resume bit-exact.
-  util::Json state_json(const std::vector<ParamSlot>& slots) const;
-  /// Restore buffers captured by state_json from the same architecture.
-  void load_state(const std::vector<ParamSlot>& slots, const util::Json& j);
+  /// Momentum buffer of each slot, in slot order; empty for a slot never
+  /// stepped. Part of the training-state checkpoint that makes mid-run
+  /// resume bit-exact. The views live until the next step().
+  std::vector<std::span<const float>> velocities(
+      const std::vector<ParamSlot>& slots) const;
+  /// Restore buffers captured by velocities() from the same architecture.
+  void load_velocities(const std::vector<ParamSlot>& slots,
+                       const std::vector<Tensor>& velocities);
 
  private:
   double lr_, momentum_, weight_decay_;

@@ -169,12 +169,19 @@ Tensor PhaseBlock::backward(const Tensor& grad_out) {
 }
 
 std::vector<ParamSlot> PhaseBlock::params() {
+  return node_slots(&Layer::params);
+}
+
+std::vector<ParamSlot> PhaseBlock::state() { return node_slots(&Layer::state); }
+
+std::vector<ParamSlot> PhaseBlock::node_slots(
+    std::vector<ParamSlot> (Layer::*slots)()) {
   std::vector<ParamSlot> out;
   for (std::size_t j = 0; j < spec_.nodes; ++j) {
     if (!active_[j]) continue;
     for (auto* layer :
          std::initializer_list<Layer*>{nodes_[j].op.get(), nodes_[j].bn.get()}) {
-      for (auto& p : layer->params()) {
+      for (auto& p : (layer->*slots)()) {
         p.name = "node" + std::to_string(j) + "." + p.name;
         out.push_back(p);
       }

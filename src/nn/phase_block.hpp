@@ -61,6 +61,7 @@ class PhaseBlock : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamSlot> params() override;
+  std::vector<ParamSlot> state() override;
   Shape output_shape(const Shape& in) const override { return in; }
   std::uint64_t flops(const Shape& in) const override;
   std::string kind() const override { return "phase"; }
@@ -86,6 +87,9 @@ class PhaseBlock : public Layer {
   std::vector<std::size_t> node_inputs(std::size_t j) const;
   /// True for nodes whose output is consumed by a later active node.
   std::vector<bool> consumed_flags() const;
+  /// `slots` (params or state) of every active node's op and batch norm,
+  /// named "node<j>.<slot>".
+  std::vector<ParamSlot> node_slots(std::vector<ParamSlot> (Layer::*slots)());
 
   PhaseSpec spec_;
   std::size_t channels_;

@@ -53,9 +53,18 @@ Tensor Sequential::backward(const Tensor& grad_out) {
 }
 
 std::vector<ParamSlot> Sequential::params() {
+  return layer_slots(&Layer::params);
+}
+
+std::vector<ParamSlot> Sequential::state() {
+  return layer_slots(&Layer::state);
+}
+
+std::vector<ParamSlot> Sequential::layer_slots(
+    std::vector<ParamSlot> (Layer::*slots)()) {
   std::vector<ParamSlot> out;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    for (auto& p : layers_[i]->params()) {
+    for (auto& p : (layers_[i].get()->*slots)()) {
       p.name = "layer" + std::to_string(i) + "." + p.name;
       out.push_back(p);
     }

@@ -25,6 +25,7 @@ class Sequential : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamSlot> params() override;
+  std::vector<ParamSlot> state() override;
   Shape output_shape(const Shape& in) const override;
   std::uint64_t flops(const Shape& in) const override;
   std::string kind() const override { return "sequential"; }
@@ -33,6 +34,9 @@ class Sequential : public Layer {
   void load_weights(const util::Json& w) override;
 
  private:
+  /// `slots` (params or state) of every layer, named "layer<i>.<slot>".
+  std::vector<ParamSlot> layer_slots(std::vector<ParamSlot> (Layer::*slots)());
+
   std::vector<LayerPtr> layers_;
 };
 

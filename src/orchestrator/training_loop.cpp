@@ -187,8 +187,8 @@ nas::EvaluationRecord TrainingLoop::train_genome_inherited(
       // never of the failed attempt's leftovers.
       util::Rng init_rng(seed);
       nn::Model model = nas::decode_genome(genome, space, init_rng);
-      nn::Model parent = nn::Model::from_checkpoint(util::Json::parse(
-          lineage::read_artifact(dir / lineage::snapshot_file_name(e))));
+      nn::Model parent = nn::Model::decode_checkpoint(
+          lineage::read_artifact(dir / lineage::snapshot_file_name(e)));
       const auto [copied, fresh] = transfer_weights(parent, model);
       if (copied == 0)
         break;  // no compatible tensors at all: cold start is honest
@@ -256,6 +256,17 @@ nas::EvaluationRecord TrainingLoop::train_model(nn::Model& model, int model_id,
     engine_overhead += record.engine_overhead_seconds;
   }
 
+  // The previous snapshotted epoch's commit, running on the lineage
+  // writer thread while this epoch trains. At most one is in flight, and
+  // it is durable before train_model returns or unwinds, so neither the
+  // record flush nor a retry's resume ever races it.
+  struct InFlightCommit {
+    std::shared_future<void> done;
+    ~InFlightCommit() {
+      if (done.valid()) done.wait();
+    }
+  } in_flight;
+
   // The loop condition (not an inner break) ends training on convergence
   // so a restored already-converged state trains zero further epochs.
   for (std::size_t epoch = start_epoch;
@@ -282,9 +293,6 @@ nas::EvaluationRecord TrainingLoop::train_model(nn::Model& model, int model_id,
     record.epoch_virtual_seconds.push_back(epoch_virtual);
     record.epochs_trained = epoch;
 
-    if (lineage_ && lineage_->wants_snapshot(epoch))
-      lineage_->record_model_epoch(model_id, epoch, model);
-
     if (engine) {
       util::trace::Scope engine_span("engine.step", "penguin");
       engine_span.arg("model_id", static_cast<double>(model_id));
@@ -299,8 +307,10 @@ nas::EvaluationRecord TrainingLoop::train_model(nn::Model& model, int model_id,
       engine_overhead += engine_timer.seconds();
     }
 
-    // The training state is captured after the engine step so a resume
-    // replays the epoch's prediction and convergence outcome exactly.
+    // The snapshot and training state are captured after the engine step
+    // (which leaves the weights alone) so a resume replays the epoch's
+    // prediction and convergence outcome exactly; both commit behind one
+    // durability barrier, off this thread.
     if (lineage_ && lineage_->wants_snapshot(epoch)) {
       util::trace::Scope ckpt_span("checkpoint.commit", "lineage");
       ckpt_span.arg("model_id", static_cast<double>(model_id));
@@ -310,8 +320,9 @@ nas::EvaluationRecord TrainingLoop::train_model(nn::Model& model, int model_id,
       state["epoch"] = epoch;
       state["converged"] = converged;
       state["rng"] = rng_state_to_json(rng.state());
-      auto slots = model.trunk().params();
-      state["optimizer"] = opt.state_json(slots);
+      util::Json optimizer = util::Json::object();
+      optimizer["kind"] = opt.kind();
+      state["optimizer"] = std::move(optimizer);
       util::Json rec = util::Json::object();
       rec["fitness_history"] = doubles_to_json(record.fitness_history);
       rec["train_accuracy_history"] =
@@ -322,9 +333,13 @@ nas::EvaluationRecord TrainingLoop::train_model(nn::Model& model, int model_id,
           doubles_to_json(record.epoch_virtual_seconds);
       rec["engine_overhead_seconds"] = engine_overhead;
       state["record"] = std::move(rec);
-      lineage_->record_training_state(model_id, epoch, state);
+      if (in_flight.done.valid()) in_flight.done.get();
+      in_flight.done = lineage_->record_epoch(
+          model_id, epoch, model, state,
+          opt.velocities(model.trunk().params()));
     }
   }
+  if (in_flight.done.valid()) in_flight.done.get();
 
   record.early_terminated =
       converged && record.epochs_trained < config_.max_epochs;
@@ -378,36 +393,41 @@ std::size_t TrainingLoop::try_resume(nn::Model& model, nn::Sgd& opt,
     try {
       // read_artifact verifies the integrity frame: a bit-flipped or torn
       // state/checkpoint throws here and falls back to the next-older one.
-      const util::Json state = util::Json::parse(lineage::read_artifact(
-          dir / lineage::training_state_file_name(e)));
-      if (static_cast<int>(state.at("model_id").as_int()) != record.model_id ||
-          static_cast<std::size_t>(state.at("epoch").as_int()) != e)
+      const lineage::TrainingState state = lineage::decode_training_state(
+          lineage::read_artifact(dir / lineage::training_state_file_name(e)));
+      if (static_cast<int>(state.doc.at("model_id").as_int()) !=
+              record.model_id ||
+          static_cast<std::size_t>(state.doc.at("epoch").as_int()) != e)
         throw util::JsonError("training state labels the wrong model/epoch");
 
-      const util::Json ckpt = util::Json::parse(lineage::read_artifact(
-          dir / lineage::snapshot_file_name(e)));
+      nn::Model ckpt = nn::Model::decode_checkpoint(
+          lineage::read_artifact(dir / lineage::snapshot_file_name(e)));
       // A stale checkpoint from a different architecture must never be
       // loaded into this model; the decoded genome's spec is the truth.
-      if (!(ckpt.at("spec") == model.trunk().spec()))
+      if (!(ckpt.trunk().spec() == model.trunk().spec()))
         throw util::JsonError("checkpoint spec differs from decoded genome");
 
       // Parse and validate everything before mutating model/opt/rng/record:
       // a half-applied restore must not leak into the fallback attempt.
-      const util::Json& rec = state.at("record");
+      const util::Json& rec = state.doc.at("record");
       auto fitness = rec.at("fitness_history").as_double_vector();
       auto train_acc = rec.at("train_accuracy_history").as_double_vector();
       auto train_loss = rec.at("train_loss_history").as_double_vector();
       auto predictions = rec.at("prediction_history").as_double_vector();
       auto epoch_virtual = rec.at("epoch_virtual_seconds").as_double_vector();
       const double overhead = rec.at("engine_overhead_seconds").as_number();
-      const util::RngState rng_state = rng_state_from_json(state.at("rng"));
-      const bool was_converged = state.at("converged").as_bool();
+      const util::RngState rng_state = rng_state_from_json(state.doc.at("rng"));
+      const bool was_converged = state.doc.at("converged").as_bool();
       if (fitness.size() != e)
         throw util::JsonError("training state history shorter than its epoch");
 
-      model.trunk().load_weights(ckpt.at("weights"));
-      auto slots = model.trunk().params();
-      opt.load_state(slots, state.at("optimizer"));
+      // The optimizer checks its buffers before taking any; the weights
+      // already fit the spec, so nothing below can fail half-way.
+      opt.load_velocities(model.trunk().params(), state.velocity);
+      std::vector<tensor::Tensor> weights;
+      for (const auto& slot : ckpt.trunk().state())
+        weights.push_back(std::move(*slot.value));
+      nn::load_state(model.trunk(), std::move(weights));
       rng.set_state(rng_state);
 
       record.fitness_history = std::move(fitness);

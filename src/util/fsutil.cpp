@@ -59,24 +59,33 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
-/// fsync/fdatasync an open path (O_RDONLY is enough on Linux, and is the
-/// only way to sync a directory). Sync failures are real data-loss risks,
-/// so they throw instead of being swallowed.
-void sync_path(const fs::path& path, bool directory) {
-  const int fd =
-      open_retry(path.c_str(), O_RDONLY | (directory ? O_DIRECTORY : 0));
-  if (fd < 0)
-    throw std::runtime_error("write_file: cannot open for sync: " +
-                             path.string());
+/// fsync (directories) or fdatasync (files) an open descriptor, retrying
+/// EINTR; returns errno, 0 on success.
+int sync_fd(int fd, bool directory) {
   int rc;
   do {
     rc = directory ? ::fsync(fd) : ::fdatasync(fd);
   } while (rc != 0 && errno == EINTR);
-  const int saved_errno = errno;
+  return rc == 0 ? 0 : errno;
+}
+
+/// Sync failures are real data-loss risks, so they throw instead of being
+/// swallowed.
+void throw_sync_error(const fs::path& path, int err) {
+  throw std::runtime_error("write_file: sync failed for " + path.string() +
+                           ": " + std::strerror(err));
+}
+
+/// fsync a directory (O_RDONLY is enough on Linux, and is the only way to
+/// open one).
+void sync_dir(const fs::path& path) {
+  const int fd = open_retry(path.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0)
+    throw std::runtime_error("write_file: cannot open for sync: " +
+                             path.string());
+  const int err = sync_fd(fd, /*directory=*/true);
   ::close(fd);
-  if (rc != 0)
-    throw std::runtime_error("write_file: sync failed for " + path.string() +
-                             ": " + std::strerror(saved_errno));
+  if (err != 0) throw_sync_error(path, err);
 }
 
 }  // namespace
@@ -90,47 +99,117 @@ void set_crash_after_writes(std::uint64_t k) {
 
 std::uint64_t write_op_count() { return g_write_ops.load(); }
 
-void write_file(const fs::path& path, const std::string& content,
+namespace {
+
+/// Cross one write boundary; dies there when the armed crash point is
+/// reached. >= (not ==) so that any write racing past the armed boundary
+/// dies too; the process is already "dead".
+void write_boundary() {
+  const std::uint64_t boundary = g_write_ops.fetch_add(1) + 1;
+  const std::uint64_t crash_k = g_crash_after_writes.load();
+  if (crash_k > 0 && boundary >= crash_k) ::_exit(1);
+}
+
+}  // namespace
+
+void write_file(const fs::path& path, std::string_view content,
                 Durability durability) {
-  if (path.has_parent_path()) ensure_dir(path.parent_path());
+  write_files({{path, content}}, durability);
+}
+
+void write_files(const std::vector<FileWrite>& files, Durability durability) {
   // The temp name is unique per process AND per write so concurrent
   // writers to the same path never clobber each other's staging file; the
   // atomic rename then makes last-writer-wins well defined.
   static std::atomic<std::uint64_t> write_counter{0};
-  const fs::path tmp = path.string() + ".tmp." + std::to_string(::getpid()) +
-                       "." + std::to_string(write_counter.fetch_add(1));
-  const std::uint64_t boundary = g_write_ops.fetch_add(1) + 1;
-  {
-    const int fd =
-        open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
+  std::vector<fs::path> staged;
+  staged.reserve(files.size());
+  const auto drop_staged = [&staged] {
+    std::error_code rm;
+    for (const auto& tmp : staged) fs::remove(tmp, rm);
+  };
+  for (const FileWrite& file : files) {
+    if (file.path.has_parent_path()) ensure_dir(file.path.parent_path());
+    const fs::path tmp = file.path.string() + ".tmp." +
+                         std::to_string(::getpid()) + "." +
+                         std::to_string(write_counter.fetch_add(1));
+    const int fd = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) {
+      drop_staged();
       throw std::runtime_error("write_file: cannot open " + tmp.string());
-    const bool ok = write_all(fd, content.data(), content.size());
+    }
+    staged.push_back(tmp);
+    const bool ok = write_all(fd, file.content.data(), file.content.size());
+    const int sync_err =
+        ok && durability == Durability::kFsync ? sync_fd(fd, false) : 0;
     ::close(fd);
     if (!ok) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
+      drop_staged();
       throw std::runtime_error("write_file: write failed " + tmp.string());
     }
+    if (sync_err != 0) {
+      drop_staged();
+      throw_sync_error(tmp, sync_err);
+    }
+    // Crash-point fuzzing: die with the group staged but not committed —
+    // the state a real crash leaves behind.
+    write_boundary();
   }
-  if (durability == Durability::kFsync) sync_path(tmp, /*directory=*/false);
 
-  // Crash-point fuzzing: die with the write staged but not committed — the
-  // state a real crash leaves behind. >= (not ==) so that any write racing
-  // past the armed boundary dies too; the process is already "dead".
-  const std::uint64_t crash_k = g_crash_after_writes.load();
-  if (crash_k > 0 && boundary >= crash_k) ::_exit(1);
+  std::vector<fs::path> dirs;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    std::error_code ec;
+    fs::rename(staged[i], files[i].path, ec);
+    if (ec) {
+      std::error_code rm;
+      for (std::size_t j = i; j < staged.size(); ++j) fs::remove(staged[j], rm);
+      throw std::runtime_error("write_file: rename to " +
+                               files[i].path.string() +
+                               " failed: " + ec.message());
+    }
+    const fs::path dir = files[i].path.parent_path();
+    if (!dir.empty() && std::find(dirs.begin(), dirs.end(), dir) == dirs.end())
+      dirs.push_back(dir);
+  }
+  if (durability == Durability::kFsync)
+    for (const auto& dir : dirs) sync_dir(dir);
+}
 
+AppendFile::AppendFile(fs::path path, Durability durability)
+    : path_(std::move(path)), durability_(durability) {
+  open();
+}
+
+AppendFile::~AppendFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void AppendFile::open() {
   std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code rm;
-    fs::remove(tmp, rm);
-    throw std::runtime_error("write_file: rename to " + path.string() +
-                             " failed: " + ec.message());
+  const bool created = !fs::exists(path_, ec);
+  fd_ = open_retry(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+  if (fd_ < 0)
+    throw std::runtime_error("AppendFile: cannot open " + path_.string());
+  if (created && durability_ == Durability::kFsync && path_.has_parent_path())
+    sync_dir(path_.parent_path());
+}
+
+void AppendFile::append(std::string_view bytes) {
+  // A rename over the path leaves this descriptor on an unlinked inode.
+  struct stat st {};
+  if (::fstat(fd_, &st) == 0 && st.st_nlink == 0) {
+    ::close(fd_);
+    fd_ = -1;
+    open();
   }
-  if (durability == Durability::kFsync && path.has_parent_path())
-    sync_path(path.parent_path(), /*directory=*/true);
+  if (!write_all(fd_, bytes.data(), bytes.size()))
+    throw std::runtime_error("AppendFile: write failed for " + path_.string() +
+                             ": " + std::strerror(errno));
+  // Crash-point fuzzing: die with the bytes written but not yet synced.
+  write_boundary();
+  if (durability_ != Durability::kFsync) return;
+  if (const int err = sync_fd(fd_, /*directory=*/false); err != 0)
+    throw_sync_error(path_, err);
 }
 
 std::string read_file(const fs::path& path) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace a4nn::util {
@@ -25,9 +26,48 @@ enum class Durability {
 void ensure_dir(const std::filesystem::path& dir);
 
 /// Write `content` atomically (unique tmp file + rename) so a crashed run
-/// never leaves a truncated record trail in the commons.
-void write_file(const std::filesystem::path& path, const std::string& content,
+/// never leaves a truncated record trail in the commons. The one-file case
+/// of write_files.
+void write_file(const std::filesystem::path& path, std::string_view content,
                 Durability durability = Durability::kBuffered);
+
+/// One file of a group commit.
+struct FileWrite {
+  std::filesystem::path path;
+  std::string_view content;
+};
+
+/// Commit `files` behind one barrier: stage every file (unique tmp write,
+/// fdatasync under kFsync), rename them all, then fsync each distinct
+/// parent directory once. A crash before the renames leaves the whole
+/// group uncommitted; a crash between renames leaves a prefix of it.
+void write_files(const std::vector<FileWrite>& files,
+                 Durability durability = Durability::kBuffered);
+
+/// An append-only log, opened once with O_APPEND. Each append() issues
+/// its bytes as one write and, under kFsync, fdatasyncs only this
+/// descriptor; creating the file fsyncs its parent directory once. When
+/// the path is atomically replaced under the open descriptor (a repair
+/// pass rewrites the log), the next append reopens the path rather than
+/// writing to the orphaned inode.
+class AppendFile {
+ public:
+  AppendFile(std::filesystem::path path, Durability durability);
+  ~AppendFile();
+  AppendFile(const AppendFile&) = delete;
+  AppendFile& operator=(const AppendFile&) = delete;
+
+  /// Append `bytes` and make them durable. Throws std::runtime_error on a
+  /// failed write or sync.
+  void append(std::string_view bytes);
+
+ private:
+  void open();
+
+  std::filesystem::path path_;
+  Durability durability_;
+  int fd_ = -1;
+};
 
 /// Read an entire file; throws std::runtime_error if missing, or if a
 /// regular file yields fewer/more bytes than its stat size reports (short
@@ -44,16 +84,19 @@ std::vector<std::filesystem::path> list_files(
 /// owns cleanup (tests remove it; benches leave artifacts for inspection).
 std::filesystem::path make_temp_dir(const std::string& prefix);
 
-/// Crash-point fuzzing. Every write_file call crosses one numbered write
-/// boundary (a process-global 1-based counter). When a crash point `k` is
-/// armed — via set_crash_after_writes(k) or the A4NN_CRASH_AFTER_WRITES
-/// environment variable — the k-th write stages its tmp file and then
-/// _exit(1)s before the commit rename: writes 1..k-1 survive intact, write
-/// k is torn (staged, never committed), and nothing later happens. This is
-/// exactly the on-disk state an OS crash can leave, made deterministic so
-/// an acceptance test can sweep every k. 0 disables. The programmatic
-/// setter counts k from the boundaries already crossed at the call, so a
-/// forked child can arm its own crash point.
+/// Crash-point fuzzing. Every staged file (write_file/write_files) and
+/// every AppendFile::append crosses one numbered write boundary (a
+/// process-global 1-based counter). When a crash point `k` is armed — via
+/// set_crash_after_writes(k) or the A4NN_CRASH_AFTER_WRITES environment
+/// variable — the process _exit(1)s at the k-th boundary: a staged file
+/// dies before its group's renames (so writes 1..k-1 outside that group
+/// survive intact and the group is torn: staged, never committed), an
+/// append dies after its bytes are written and before they are synced.
+/// Nothing later happens. This is exactly the on-disk state an OS crash
+/// can leave, made deterministic so an acceptance test can sweep every k.
+/// 0 disables. The programmatic setter counts k from the boundaries
+/// already crossed at the call, so a forked child can arm its own crash
+/// point.
 void set_crash_after_writes(std::uint64_t k);
 
 /// Write boundaries crossed so far in this process (counts attempts,

@@ -154,6 +154,73 @@ TEST(FsDurability, CrashAfterWritesTearsTheArmedWrite) {
   fs::remove_all(dir);
 }
 
+TEST(FsDurability, WriteFilesCommitsAGroupAcrossDirectories) {
+  const fs::path dir = util::make_temp_dir("a4nn-group");
+  util::write_files({{dir / "a" / "one", "1"}, {dir / "b" / "two", "22"}},
+                    util::Durability::kFsync);
+  EXPECT_EQ(util::read_file(dir / "a" / "one"), "1");
+  EXPECT_EQ(util::read_file(dir / "b" / "two"), "22");
+  EXPECT_EQ(util::list_files(dir / "a").size(), 1u);  // no staging left
+  fs::remove_all(dir);
+}
+
+TEST(FsDurability, CrashInsideAGroupCommitsNoneOfIt) {
+  const fs::path dir = util::make_temp_dir("a4nn-group-crash");
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    util::set_crash_after_writes(2);
+    util::write_files({{dir / "first", "a"}, {dir / "second", "b"}});
+    ::_exit(0);  // must never be reached
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_FALSE(fs::exists(dir / "first"));
+  EXPECT_FALSE(fs::exists(dir / "second"));
+  EXPECT_EQ(util::list_files(dir).size(), 2u);  // both staged tmp files
+  fs::remove_all(dir);
+}
+
+TEST(FsDurability, AppendFileAppendsAndFollowsAReplacedPath) {
+  const fs::path dir = util::make_temp_dir("a4nn-append");
+  const fs::path log = dir / "log";
+  util::AppendFile file(log, util::Durability::kFsync);
+  file.append("a\n");
+  file.append("b\n");
+  EXPECT_EQ(util::read_file(log), "a\nb\n");
+  // An atomic rewrite (a repair pass) replaces the inode under the open
+  // descriptor; the next append must land in the new file.
+  util::write_file(log, "x\n", util::Durability::kFsync);
+  file.append("c\n");
+  EXPECT_EQ(util::read_file(log), "x\nc\n");
+  fs::remove_all(dir);
+}
+
+TEST(FsDurability, CrashAtAnAppendKeepsTheWrittenBytes) {
+  const fs::path dir = util::make_temp_dir("a4nn-append-crash");
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    util::AppendFile file(dir / "log", util::Durability::kFsync);
+    util::set_crash_after_writes(1);
+    file.append("line\n");
+    ::_exit(0);  // must never be reached
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  // Written, never synced: a process crash keeps it, a power cut may not.
+  EXPECT_EQ(util::read_file(dir / "log"), "line\n");
+  fs::remove_all(dir);
+}
+
 // -------------------------------------------------- framed commons + fsck
 
 orchestrator::TrainerConfig tiny_trainer() {

@@ -2,9 +2,12 @@
 // snapshots reproduce predictions from any epoch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 
 #include "lineage/tracker.hpp"
+#include "nas/search_space.hpp"
 #include "orchestrator/training_loop.hpp"
 #include "util/fsutil.hpp"
 #include "xfel/dataset.hpp"
@@ -116,6 +119,88 @@ TEST_F(CommonsFixture, MissingSnapshotThrows) {
   DataCommons commons(root);
   EXPECT_THROW(commons.load_model(0, 1), std::runtime_error);
   EXPECT_TRUE(commons.snapshot_epochs(42).empty());
+}
+
+nn::Model tiny_model(std::uint64_t seed) {
+  util::Rng rng(seed);
+  nas::SearchSpaceConfig space;
+  space.input_shape = {1, 8, 8};
+  space.stem_channels = 4;
+  return nas::decode_genome(nas::random_genome(3, 4, rng), space, rng);
+}
+
+util::Json state_doc(int model_id, std::size_t epoch) {
+  util::Json doc = util::Json::object();
+  doc["model_id"] = model_id;
+  doc["epoch"] = epoch;
+  doc["rng"] = util::Json::object();
+  doc["optimizer"] = util::Json::object();
+  doc["record"] = util::Json::object();
+  return doc;
+}
+
+std::size_t journal_lines(const fs::path& root) {
+  const std::string text = util::read_file(root / manifest_file_name());
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST_F(CommonsFixture, RecordEpochCommitsSnapshotAndStateTogether) {
+  LineageTracker tracker({root, 1});
+  const nn::Model model = tiny_model(4);
+  const std::vector<float> velocity = {0.5f, -0.25f, 1e-30f};
+  const std::size_t before = journal_lines(root);
+  tracker.record_epoch(2, 3, model, state_doc(2, 3), {velocity, {}}).get();
+  EXPECT_EQ(journal_lines(root), before + 2);
+
+  DataCommons commons(root);
+  EXPECT_EQ(commons.load_model(2, 3).trunk().weights().dump(),
+            model.trunk().weights().dump());
+  const TrainingState state = commons.load_training_state(2, 3);
+  EXPECT_EQ(state.doc, state_doc(2, 3));
+  ASSERT_EQ(state.velocity.size(), 2u);
+  ASSERT_EQ(state.velocity[0].numel(), velocity.size());
+  EXPECT_EQ(std::memcmp(state.velocity[0].data(), velocity.data(),
+                        4 * velocity.size()),
+            0);
+  EXPECT_TRUE(commons.fsck(FsckMode::kDeep).clean());
+}
+
+TEST_F(CommonsFixture, TrackerWaitsForQueuedEpochsOnDestruction) {
+  const nn::Model model = tiny_model(5);
+  {
+    LineageTracker tracker({root, 1});
+    for (std::size_t e = 1; e <= 6; ++e)
+      tracker.record_epoch(0, e, model, state_doc(0, e), {});
+  }
+  DataCommons commons(root);
+  EXPECT_EQ(commons.snapshot_epochs(0),
+            (std::vector<std::size_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(commons.training_state_epochs(0),
+            (std::vector<std::size_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(commons.fsck(FsckMode::kDeep).clean());
+}
+
+TEST_F(CommonsFixture, SealedTrackerDropsQueuedEpochs) {
+  LineageTracker tracker({root, 1});
+  tracker.seal();
+  tracker.record_epoch(0, 1, tiny_model(6), state_doc(0, 1), {}).get();
+  EXPECT_TRUE(DataCommons(root).snapshot_epochs(0).empty());
+}
+
+TEST_F(CommonsFixture, TornJournalTailIsCutOffOnOpen) {
+  {
+    LineageTracker tracker({root, 0});
+    tracker.record_search_config(util::Json::object());
+  }
+  const fs::path journal = root / manifest_file_name();
+  const std::string intact = util::read_file(journal);
+  util::write_file(journal, intact + "0badc0de torn");
+  LineageTracker tracker({root, 0});
+  EXPECT_EQ(util::read_file(journal), intact);
+  nas::EvaluationRecord r;
+  r.model_id = 1;
+  tracker.record_evaluation(r);
+  EXPECT_TRUE(DataCommons(root).fsck(FsckMode::kDeep).clean());
 }
 
 }  // namespace
