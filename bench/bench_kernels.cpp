@@ -1,6 +1,7 @@
 // Training-kernel microbenchmark: GFLOP/s for the blocked/packed GEMM
-// variants (and the naive baseline they replaced), the autotuned GEMM, and
-// the direct vs im2col convolution paths, on cubic and conv-shaped
+// variants (and the naive baseline they replaced), the autotuned GEMM, the
+// direct vs im2col convolution paths, and the batch-lane training
+// convolution (forward, and backward's dW + dX), on cubic and conv-shaped
 // problems. Emits BENCH_kernels.json so CI can archive throughput per
 // commit, and — with --floor — enforces the shared floor gate
 // (floor_gate.hpp): a kernel below half its floor, a kernel missing from
@@ -41,6 +42,8 @@ struct Case {
   std::size_t m, k, n;
   // Runs the kernel once; buffers are captured by the closure.
   std::function<void()> run;
+  // m x k x n GEMMs per run (a batch, or a batch's two backward GEMMs).
+  std::size_t gemms = 1;
 };
 
 struct Result {
@@ -67,7 +70,8 @@ Result measure(const Case& c) {
     ++iters;
   } while (timer.seconds() < target_seconds);
   const double elapsed = timer.seconds();
-  const double flop = 2.0 * static_cast<double>(c.m) * c.k * c.n * iters;
+  const double flop =
+      2.0 * static_cast<double>(c.m) * c.k * c.n * c.gemms * iters;
   Result r;
   r.key = c.kernel + " " + std::to_string(c.m) + "x" + std::to_string(c.k) +
           "x" + std::to_string(c.n);
@@ -201,6 +205,49 @@ int main(int argc, char** argv) {
                      }});
   }
 
+  // Training convolution over a batch of 32: forward, and backward (dW and
+  // dX, so two GEMMs' worth of FLOPs per image) with a fused ReLU, on the
+  // search space's phase-node shapes at 16/8/4 px and the 1x1 channel
+  // expansion after the first downsample.
+  constexpr std::size_t kTrainBatch = 32;
+  const std::vector<std::array<std::size_t, 4>> train_geoms = {
+      {4, 16, 4, 3},  // in_ch, hw, out_ch, kernel
+      {8, 8, 8, 3},
+      {16, 4, 16, 3},
+      {4, 8, 8, 1},
+  };
+  for (const auto& [in_ch, hw, out_ch, kernel] : train_geoms) {
+    const std::size_t pad = kernel / 2;
+    tensor::ConvGeometry g{in_ch, hw, hw, kernel, 1, pad};
+    const std::size_t m = out_ch;
+    const std::size_t k = g.patch_size();
+    const std::size_t n = g.out_h() * g.out_w();
+    float* w = keep(random_buffer(m * k, rng));
+    float* bias = keep(random_buffer(m, rng));
+    float* x = keep(random_buffer(kTrainBatch * in_ch * hw * hw, rng));
+    float* out = keep(std::vector<float>(kTrainBatch * m * n));
+    float* gout = keep(random_buffer(kTrainBatch * m * n, rng));
+    float* grad_in = keep(std::vector<float>(kTrainBatch * in_ch * hw * hw));
+    float* wgrad = keep(std::vector<float>(m * k));
+    float* bgrad = keep(std::vector<float>(m));
+    const std::size_t cache_n = tensor::conv2d_train_cache_size(g, kTrainBatch);
+    float* cache = keep(std::vector<float>(cache_n));
+    const tensor::Epilogue ep{tensor::Epilogue::Bias::kPerRow, bias, true};
+    cases.push_back({"conv_train_fwd", m, k, n,
+                     [=] {
+                       tensor::conv2d_train_forward(g, kTrainBatch, m, w, x,
+                                                    out, ep, {cache, cache_n});
+                     },
+                     kTrainBatch});
+    cases.push_back({"conv_train_bwd", m, k, n,
+                     [=] {
+                       tensor::conv2d_train_backward(
+                           g, kTrainBatch, m, w, {cache, cache_n}, gout, out,
+                           wgrad, bgrad, grad_in);
+                     },
+                     2 * kTrainBatch});
+  }
+
   util::AsciiTable table({"kernel", "m", "k", "n", "GFLOP/s", "ns/iter"});
   util::Json json = util::Json::object();
   util::Json entries = util::Json::array();
@@ -223,22 +270,31 @@ int main(int argc, char** argv) {
   std::printf("%s", table.render().c_str());
 
   // Headline numbers: blocked vs naive at the largest cubic size, and
-  // direct vs im2col on the largest conv shape.
+  // direct and batch-lane training conv vs im2col on the largest conv
+  // shape.
   double naive256 = 0.0, blocked256 = 0.0;
-  double im2col_best = 0.0, direct_best = 0.0;
+  double im2col_best = 0.0, direct_best = 0.0, train_fwd = 0.0;
   for (const auto& r : results) {
     if (r.key == "gemm_naive 256x256x256") naive256 = r.gflops;
     if (r.key == "gemm 256x256x256") blocked256 = r.gflops;
     if (r.key == "conv_im2col 4x36x256") im2col_best = r.gflops;
     if (r.key == "conv_direct 4x36x256") direct_best = r.gflops;
+    if (r.key == "conv_train_fwd 4x36x256") train_fwd = r.gflops;
   }
   const double speedup = naive256 > 0.0 ? blocked256 / naive256 : 0.0;
   std::printf("gemm vs gemm_naive at 256^3: %.2fx\n", speedup);
   const double conv_speedup =
       im2col_best > 0.0 ? direct_best / im2col_best : 0.0;
   std::printf("conv_direct vs conv_im2col at 4x36x256: %.2fx\n", conv_speedup);
+  // conv_im2col is the per-image chain whose bits conv_train_fwd
+  // reproduces for a whole batch.
+  const double train_speedup =
+      im2col_best > 0.0 ? train_fwd / im2col_best : 0.0;
+  std::printf("conv_train_fwd vs conv_im2col at 4x36x256: %.2fx\n",
+              train_speedup);
   json["speedup_256"] = speedup;
   json["conv_direct_speedup"] = conv_speedup;
+  json["conv_train_fwd_speedup"] = train_speedup;
   json["kernels"] = std::move(entries);
   util::write_file(args.get("out"), json.dump(2));
   std::printf("wrote %s\n", args.get("out").c_str());

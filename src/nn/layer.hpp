@@ -48,6 +48,11 @@ class Layer {
   /// w.r.t. its input out. Parameter gradients accumulate into the slots.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// Backward pass for a caller that discards the input gradient (a
+  /// model's first layer): parameter gradients accumulate exactly as
+  /// backward() leaves them, but the layer may skip computing d(input).
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
+
   /// Parameter/gradient views for the optimizer. Default: no parameters.
   virtual std::vector<ParamSlot> params() { return {}; }
 

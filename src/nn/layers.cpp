@@ -131,112 +131,59 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
     throw std::invalid_argument("Conv2d: channel mismatch");
   const std::size_t batch = x.dim(0);
   const auto g = geometry(x.shape());
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
-  const std::size_t cols = oh * ow;
-  const std::size_t patch = g.patch_size();
+  const std::size_t cols = g.out_h() * g.out_w();
   const std::size_t image_size = in_channels_ * g.in_h * g.in_w;
 
-  if (training) {
-    input_cache_ = x;
-    in_shape_cache_ = x.shape();
-    // im2col results persist until backward; the vector reuses its capacity
-    // across batches and im2col overwrites every entry.
-    columns_cache_.resize(batch * patch * cols);
-  }
-
-  Tensor out({batch, out_channels_, oh, ow});
+  Tensor out({batch, out_channels_, g.out_h(), g.out_w()});
   tensor::Epilogue ep;
   ep.bias = tensor::Epilogue::Bias::kPerRow;  // row = output channel
   ep.bias_data = bias_.data();
   ep.relu = act_ == Activation::kRelu;
+  if (training) {
+    // The lane cache persists until backward; the vector reuses its
+    // capacity across batches and the forward overwrites every entry.
+    in_shape_cache_ = x.shape();
+    input_cache_.resize(tensor::conv2d_train_cache_size(g, batch));
+    tensor::conv2d_train_forward(g, batch, out_channels_, weight_.data(),
+                                 x.data(), out.data(), ep, input_cache_);
+    output_cache_ = act_ != Activation::kNone ? out : Tensor();
+    return out;
+  }
   // Images write disjoint output slices, so chunking is free of races and
-  // the fixed partition keeps results thread-count independent. Training
-  // materializes im2col into the backward cache (backward re-reads the
-  // columns); inference goes through conv2d_forward_direct, which packs
-  // image tiles straight into the GEMM panels for viable geometries and
-  // falls back to a scratch-arena im2col otherwise — bit-identical either
-  // way (see ops.hpp).
+  // the fixed partition keeps results thread-count independent.
+  // conv2d_forward_direct packs image tiles straight into the GEMM panels
+  // for viable geometries and falls back to a scratch-arena im2col
+  // otherwise — bit-identical either way (see ops.hpp).
   tensor::parallel_chunks(batch, [&](std::size_t, std::size_t begin,
                                      std::size_t end) {
-    for (std::size_t n = begin; n < end; ++n) {
-      const std::span<const float> image{x.data() + n * image_size,
-                                         image_size};
-      float* out_n = out.data() + n * out_channels_ * cols;
-      if (training) {
-        std::span<float> col(columns_cache_.data() + n * patch * cols,
-                             patch * cols);
-        tensor::im2col(g, image, col);
-        // out_n(oc x cols) = act(W(oc x patch) * col(patch x cols) + bias)
-        tensor::gemm_ex(out_channels_, patch, cols, weight_.data(), col.data(),
-                        out_n, ep);
-      } else {
-        tensor::conv2d_forward_direct(g, out_channels_, weight_.data(), image,
-                                      out_n, ep);
-      }
-    }
+    for (std::size_t n = begin; n < end; ++n)
+      tensor::conv2d_forward_direct(
+          g, out_channels_, weight_.data(),
+          {x.data() + n * image_size, image_size},
+          out.data() + n * out_channels_ * cols, ep);
   });
-  if (training)
-    output_cache_ = act_ != Activation::kNone ? out : Tensor();
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  const Shape& in = in_shape_cache_;
-  const std::size_t batch = in[0];
-  const auto g = geometry(in);
-  const std::size_t cols = g.out_h() * g.out_w();
-  const std::size_t patch = g.patch_size();
-  const std::size_t image_size = in_channels_ * g.in_h * g.in_w;
-
-  const Tensor* gsrc = &grad_out;
-  Tensor masked;
-  if (act_ == Activation::kRelu) {
-    masked = relu_masked_grad(grad_out, output_cache_);
-    gsrc = &masked;
-  }
-
-  Tensor grad_in(in);
-  // Chunk-private weight/bias gradient slabs, reduced in chunk order below
-  // — the reduction order never depends on the worker count.
-  const std::size_t chunks = tensor::intra_op_chunks(batch);
-  tensor::ScratchScope scratch;
-  std::span<float> dw_slabs =
-      scratch.alloc_zeroed(chunks * out_channels_ * patch);
-  std::span<float> db_slabs = scratch.alloc_zeroed(chunks * out_channels_);
-  tensor::parallel_chunks(batch, [&](std::size_t c, std::size_t begin,
-                                     std::size_t end) {
-    float* dw = dw_slabs.data() + c * out_channels_ * patch;
-    float* db = db_slabs.data() + c * out_channels_;
-    tensor::ScratchScope local;  // this worker thread's arena
-    std::span<float> grad_cols = local.alloc(patch * cols);
-    for (std::size_t n = begin; n < end; ++n) {
-      const float* gout = gsrc->data() + n * out_channels_ * cols;
-      const float* col = columns_cache_.data() + n * patch * cols;
-      // dW(oc x patch) += gout(oc x cols) * col^T(cols x patch)
-      tensor::gemm_a_bt_acc(out_channels_, cols, patch, gout, col, dw);
-      // db(oc) += sum over cells
-      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        float acc = 0.0f;
-        const float* row = gout + oc * cols;
-        for (std::size_t i = 0; i < cols; ++i) acc += row[i];
-        db[oc] += acc;
-      }
-      // dcol(patch x cols) = W^T(patch x oc) * gout(oc x cols)
-      tensor::gemm_at_b(patch, out_channels_, cols, weight_.data(), gout,
-                        grad_cols.data());
-      tensor::col2im(g, grad_cols,
-                     {grad_in.data() + n * image_size, image_size});
-    }
-  });
-  for (std::size_t c = 0; c < chunks; ++c) {
-    tensor::axpy(1.0f, dw_slabs.subspan(c * out_channels_ * patch,
-                                        out_channels_ * patch),
-                 weight_grad_.span());
-    tensor::axpy(1.0f, db_slabs.subspan(c * out_channels_, out_channels_),
-                 bias_grad_.span());
-  }
+  Tensor grad_in(in_shape_cache_);
+  backward_into(grad_out, grad_in.data());
   return grad_in;
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  backward_into(grad_out, nullptr);
+}
+
+void Conv2d::backward_into(const Tensor& grad_out, float* grad_in) {
+  const Shape& in = in_shape_cache_;
+  const auto g = geometry(in);
+  if (grad_out.numel() != in[0] * out_channels_ * g.out_h() * g.out_w())
+    throw std::invalid_argument("Conv2d::backward: gradient shape mismatch");
+  tensor::conv2d_train_backward(
+      g, in[0], out_channels_, weight_.data(), input_cache_, grad_out.data(),
+      act_ == Activation::kRelu ? output_cache_.data() : nullptr,
+      weight_grad_.data(), bias_grad_.data(), grad_in);
 }
 
 std::vector<ParamSlot> Conv2d::params() {

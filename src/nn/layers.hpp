@@ -1,4 +1,5 @@
-// Concrete layers: Conv2d (im2col + GEMM), Linear, ReLU, MaxPool2d,
+// Concrete layers: Conv2d (batch-lane kernels for training, direct or
+// im2col + GEMM for inference), Linear, ReLU, MaxPool2d,
 // GlobalAvgPool, Flatten, Dropout, and BatchNorm2d.
 #pragma once
 
@@ -16,11 +17,15 @@ enum class Activation { kNone, kRelu };
 const char* activation_name(Activation a);
 Activation activation_from_name(const std::string& name);
 
-/// 2-d convolution with square kernels, implemented as im2col + GEMM.
-/// Weight layout: (out_channels x in_channels*k*k); bias per out channel.
-/// The bias add is fused into the GEMM epilogue; an optional ReLU can be
-/// fused too (see Sequential::fuse_epilogues). Forward/backward are
-/// chunk-parallel over the batch with a thread-count-independent partition.
+/// 2-d convolution with square kernels. Weight layout: (out_channels x
+/// in_channels*k*k); bias per out channel. The bias add is fused into the
+/// output epilogue; an optional ReLU can be fused too (see
+/// Sequential::fuse_epilogues). Inference runs conv2d_forward_direct per
+/// image. Training runs the batch-lane kernels (conv2d_train_forward /
+/// conv2d_train_backward), which compute forward, dW and dX straight from a
+/// lane-interleaved copy of the input and are bit-identical to the
+/// per-image im2col + GEMM + col2im chain. Both are parallel over a
+/// thread-count-independent partition of the batch.
 class Conv2d : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -31,6 +36,7 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<ParamSlot> params() override;
   Shape output_shape(const Shape& in) const override;
   std::uint64_t flops(const Shape& in) const override;
@@ -42,15 +48,16 @@ class Conv2d : public Layer {
 
  private:
   tensor::ConvGeometry geometry(const Shape& in) const;
+  // Backward; grad_in null skips the input gradient.
+  void backward_into(const Tensor& grad_out, float* grad_in);
 
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_;
   Activation act_ = Activation::kNone;
   Tensor weight_, weight_grad_;
   Tensor bias_, bias_grad_;
   // Cached for backward.
-  Tensor input_cache_;
+  std::vector<float> input_cache_;  // the batch in lane-cache layout
   Tensor output_cache_;  // only when a ReLU is fused (its gradient mask)
-  std::vector<float> columns_cache_;  // im2col per batch image, concatenated
   Shape in_shape_cache_;
 };
 

@@ -33,7 +33,7 @@ EpochMetrics Model::train_epoch(const Dataset& data, std::size_t batch_size,
     trunk_->zero_grad();
     const Tensor logits = trunk_->forward(batch.images, /*training=*/true);
     LossResult res = softmax_cross_entropy(logits, batch.labels);
-    trunk_->backward(res.grad);
+    trunk_->backward_params(res.grad);
     opt.step(slots);
     loss_sum += res.loss * static_cast<double>(indices.size());
     correct += res.correct;

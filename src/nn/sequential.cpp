@@ -52,6 +52,14 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_out) {
+  if (layers_.empty()) return;
+  Tensor g = grad_out;
+  for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it)
+    g = (*it)->backward(g);
+  layers_.front()->backward_params(g);
+}
+
 std::vector<ParamSlot> Sequential::params() {
   return layer_slots(&Layer::params);
 }

@@ -24,6 +24,8 @@ class Sequential : public Layer {
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// Every layer's backward but the first's input gradient.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<ParamSlot> params() override;
   std::vector<ParamSlot> state() override;
   Shape output_shape(const Shape& in) const override;

@@ -4,9 +4,12 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "tensor/autotune.hpp"
+#include "tensor/parallel.hpp"
 #include "tensor/scratch.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -677,6 +680,545 @@ void conv2d_forward_direct(const ConvGeometry& g, std::size_t out_channels,
                    std::size_t nc, float* bpack) {
                  pack_b_conv3x3_tile(image.data(), g, k0, kc, n0, nc, bpack);
                });
+}
+
+// ------------------------------------------ batch-lane training convolution
+//
+// Lane l of every vector below is image n0 + l of a 16-image group, and
+// each lane runs the scalar arithmetic of the per-image reference chain
+// for its image: the same products, summed in the same order, with the same
+// k-panel breaks and small-path zero skips gemm_driver uses for that
+// per-image (k, n). Register tiles only choose which outputs are computed
+// together; no output's summation order depends on them.
+
+namespace {
+
+#ifndef A4NN_VECTOR_KERNEL
+#error "the batch-lane convolution kernels need GCC/Clang vector extensions"
+#endif
+
+// Lane vectors cross only this file's internal, inlined helpers, so the
+// note that their by-value passing ABI depends on -march is moot (for the
+// rest of the file: GCC reports template instantiations at its end).
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+constexpr std::size_t LN = 16;  // images per lane group: one float vector
+typedef float vlane __attribute__((vector_size(LN * sizeof(float))));
+
+inline vlane load_lanes(const float* p) {
+  vlane v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store_lanes(float* p, vlane v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+
+// f.template operator()<A, B>() for runtime extents a in [1, NA] and b in
+// [1, NB], so edge tiles get compile-time extents (register accumulators)
+// like full ones.
+template <std::size_t NA, std::size_t NB, std::size_t A = 1,
+          std::size_t B = 1, typename F>
+void with_extents(std::size_t a, std::size_t b, F&& f) {
+  if constexpr (A <= NA && B <= NB) {
+    if (a != A)
+      with_extents<NA, NB, A + 1, B>(a, b, f);
+    else if (b != B)
+      with_extents<NA, NB, A, B + 1>(a, b, f);
+    else
+      f.template operator()<A, B>();
+  }
+}
+
+// How gemm_driver splits the k dimension of one per-image (k, n) GEMM: the
+// blocked path sums fresh kc-deep panel partials (the first overwrites,
+// later ones add on), the small path is a single panel — and, in its i-k-j
+// form, skips zero A entries.
+struct KSplit {
+  std::size_t kc;
+  bool small;
+};
+
+KSplit k_split(std::size_t k, std::size_t n) {
+  const TileConfig& t = tile_config_for(k, n);
+  if (n * k <= t.small_row_flops) return {k, true};
+  return {t.kc, false};
+}
+
+// Whether the small path's zero skip can fire on these weights. It only
+// fires on an exact zero; without one, skipping is a no-op and the
+// branch-free kernels compute the same sums.
+bool skips_zeros(const KSplit& split, const float* weights, std::size_t n) {
+  return split.small &&
+         std::any_of(weights, weights + n, [](float w) { return w == 0.0f; });
+}
+
+// One lane group's layout: the input (or input gradient) of LN images,
+// zero-padded by g.pad on every side, as [c][y][x][lane]. Patch row
+// p = (c, ky, kx) of output cell (oy, ox) lives at window(oy, ox) + off[p]
+// — the im2col entry, without the im2col buffer.
+struct LaneConv {
+  LaneConv(const ConvGeometry& geometry, std::size_t out_channels)
+      : g(geometry), oc(out_channels) {
+    g.validate();
+    if (oc == 0) throw std::invalid_argument("LaneConv: zero out_channels");
+    hp = g.in_h + 2 * g.pad;
+    wp = g.in_w + 2 * g.pad;
+    ow = g.out_w();
+    cells = g.out_h() * ow;
+    patch = g.patch_size();
+    image_size = g.in_channels * g.in_h * g.in_w;
+    group_floats = g.in_channels * hp * wp * LN;
+    off.reserve(patch);
+    for (std::size_t c = 0; c < g.in_channels; ++c)
+      for (std::size_t ky = 0; ky < g.kernel; ++ky)
+        for (std::size_t kx = 0; kx < g.kernel; ++kx)
+          off.push_back(((c * hp + ky) * wp + kx) * LN);
+  }
+
+  std::size_t window(std::size_t oy, std::size_t ox) const {
+    return (oy * g.stride * wp + ox * g.stride) * LN;
+  }
+
+  ConvGeometry g;
+  std::size_t oc, hp, wp, ow, cells, patch, image_size, group_floats;
+  std::vector<std::size_t> off;
+};
+
+std::size_t lane_groups(std::size_t batch) { return (batch + LN - 1) / LN; }
+
+// One butterfly stage of transpose16: rows a and b = a + B trade their
+// off-diagonal B-wide blocks.
+template <std::size_t B, std::size_t... J>
+inline void butterfly(vlane& a, vlane& b, std::index_sequence<J...>) {
+  const vlane lo =
+      __builtin_shufflevector(a, b, ((J & B) ? LN + J - B : J)...);
+  const vlane hi = __builtin_shufflevector(a, b, ((J & B) ? LN + J : J + B)...);
+  a = lo;
+  b = hi;
+}
+
+template <std::size_t B>
+inline void butterfly_stage(vlane (&r)[LN]) {
+  for (std::size_t i = 0; i < LN; ++i)
+    if (!(i & B)) butterfly<B>(r[i], r[i + B], std::make_index_sequence<LN>{});
+}
+
+// In-register 16x16 transpose: r[i][j] becomes r[j][i]. The lane layout is
+// an image-major layout transposed, so every move between the two goes
+// through this in 16-element blocks (64 shuffles per 256 floats).
+inline void transpose16(vlane (&r)[LN]) {
+  static_assert(LN == 16, "transpose16 is a 16x16 transpose");
+  butterfly_stage<8>(r);
+  butterfly_stage<4>(r);
+  butterfly_stage<2>(r);
+  butterfly_stage<1>(r);
+}
+
+// Image rows -> lane vectors: for element e in [0, count) of each row, the
+// vector stored at dst + next() holds rows[l * stride + e] in lane l, and
+// +0 in lanes >= `lanes`. With `mask` (a fused ReLU's output, laid out like
+// rows) an entry whose mask is not > 0 becomes +0, as relu_masked_grad.
+template <typename Next>
+void rows_to_lanes(const float* rows, const float* mask, std::size_t stride,
+                   std::size_t count, std::size_t lanes, float* dst,
+                   Next&& next) {
+  const vlane zero = {};
+  std::size_t e = 0;
+  for (; e + LN <= count; e += LN) {
+    vlane r[LN];
+    for (std::size_t l = 0; l < LN; ++l) {
+      r[l] = l < lanes ? load_lanes(rows + l * stride + e) : zero;
+      if (mask && l < lanes)
+        r[l] = load_lanes(mask + l * stride + e) > zero ? r[l] : zero;
+    }
+    transpose16(r);
+    for (std::size_t t = 0; t < LN; ++t) store_lanes(dst + next(), r[t]);
+  }
+  for (; e < count; ++e) {
+    float* d = dst + next();
+    for (std::size_t l = 0; l < LN; ++l) {
+      const std::size_t i = l * stride + e;
+      d[l] = l < lanes && (!mask || mask[i] > 0.0f) ? rows[i] : 0.0f;
+    }
+  }
+}
+
+// Lane vectors -> image rows, the inverse of rows_to_lanes for l < lanes.
+template <typename Next>
+void lanes_to_rows(const float* src, Next&& next, std::size_t count,
+                   std::size_t lanes, float* rows, std::size_t stride) {
+  std::size_t e = 0;
+  for (; e + LN <= count; e += LN) {
+    vlane r[LN];
+    for (std::size_t t = 0; t < LN; ++t) r[t] = load_lanes(src + next());
+    transpose16(r);
+    for (std::size_t l = 0; l < lanes; ++l)
+      store_lanes(rows + l * stride + e, r[l]);
+  }
+  for (; e < count; ++e) {
+    const float* s = src + next();
+    for (std::size_t l = 0; l < lanes; ++l) rows[l * stride + e] = s[l];
+  }
+}
+
+// Successive offsets of a contiguous lane buffer ([element][lane]).
+auto dense_offsets() {
+  return [off = std::size_t{0}]() mutable {
+    const std::size_t o = off;
+    off += LN;
+    return o;
+  };
+}
+
+// Successive offsets, in NCHW element order, of an image's interior in a
+// padded lane group.
+auto padded_offsets(const LaneConv& lc) {
+  const std::size_t pad = lc.g.pad;
+  return [&lc, row = (pad * lc.wp + pad) * LN, x = std::size_t{0},
+          y = std::size_t{0}]() mutable {
+    const std::size_t o = row + x * LN;
+    if (++x == lc.g.in_w) {
+      x = 0;
+      row += lc.wp * LN;
+      if (++y == lc.g.in_h) {
+        y = 0;
+        row += 2 * lc.g.pad * lc.wp * LN;
+      }
+    }
+    return o;
+  };
+}
+
+// The reference im2col matrix of lane `lane` of a group.
+void lane_im2col(const LaneConv& lc, const float* group, std::size_t lane,
+                 float* col) {
+  const std::size_t oh = lc.cells / lc.ow;
+  for (std::size_t p = 0; p < lc.patch; ++p) {
+    const float* src = group + lc.off[p] + lane;
+    for (std::size_t oy = 0; oy < oh; ++oy)
+      for (std::size_t ox = 0; ox < lc.ow; ++ox)
+        *col++ = src[lc.window(oy, ox)];
+  }
+}
+
+// v[r][x] = sum over k of A(r, k) * B(k, x), with gemm_driver's grouping
+// of the k dimension: each kc-deep panel sums from +0 in k order (under
+// kSkipZero skipping A(r, k) == 0, as small_gemm's i-k-j loop does), the
+// first panel's sum is kept and later ones are added on.
+template <std::size_t R, std::size_t X, bool kSkipZero, typename AFn,
+          typename BFn>
+inline void panel_sums(std::size_t k, std::size_t kc, AFn&& a, BFn&& b,
+                       vlane (&v)[R][X]) {
+  auto panel = [&](std::size_t k0, vlane(&acc)[R][X]) {
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t x = 0; x < X; ++x) acc[r][x] = vlane{};
+    for (std::size_t kk = k0; kk < std::min(k, k0 + kc); ++kk) {
+      vlane bv[X];
+      for (std::size_t x = 0; x < X; ++x) bv[x] = b(kk, x);
+      for (std::size_t r = 0; r < R; ++r) {
+        const float av = a(r, kk);
+        if (kSkipZero && av == 0.0f) continue;
+        for (std::size_t x = 0; x < X; ++x) acc[r][x] += av * bv[x];
+      }
+    }
+  };
+  panel(0, v);
+  for (std::size_t k0 = kc; k0 < k; k0 += kc) {
+    vlane acc[R][X];
+    panel(k0, acc);
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t x = 0; x < X; ++x) v[r][x] += acc[r][x];
+  }
+}
+
+// Forward: I output channels x X adjacent cells of output row oy, summed
+// over im2col rows like gemm_ex, then the epilogue exactly as write_tile /
+// epilogue_pass apply it, into the lane buffer `out` ([channel][cell][lane]).
+template <std::size_t I, std::size_t X, bool kSkipZero>
+void forward_tile(const LaneConv& lc, const float* group, const float* w,
+                  std::size_t i0, std::size_t oy, std::size_t ox0,
+                  std::size_t kc, const Epilogue& ep, float* out) {
+  const float* win = group + lc.window(oy, ox0);
+  const std::size_t xstep = lc.g.stride * LN;
+  const float* wrows = w + i0 * lc.patch;
+  vlane v[I][X];
+  panel_sums<I, X, kSkipZero>(
+      lc.patch, kc,
+      [&](std::size_t i, std::size_t kk) { return wrows[i * lc.patch + kk]; },
+      [&](std::size_t kk, std::size_t x) {
+        return load_lanes(win + lc.off[kk] + x * xstep);
+      },
+      v);
+  const vlane zero = {};
+  for (std::size_t i = 0; i < I; ++i) {
+    for (std::size_t x = 0; x < X; ++x) {
+      const std::size_t cell = oy * lc.ow + ox0 + x;
+      const float bias = ep.bias == Epilogue::Bias::kPerCol
+                             ? ep.bias_data[cell]
+                         : ep.bias == Epilogue::Bias::kPerRow
+                             ? ep.bias_data[i0 + i]
+                             : 0.0f;
+      vlane r = v[i][x] + bias;
+      if (ep.relu) r = r < zero ? zero : r;
+      store_lanes(out + ((i0 + i) * lc.cells + cell) * LN, r);
+    }
+  }
+}
+
+// dW partials: I output channels x J patch rows (I * J <= 16). Per k-panel
+// of cells, a fresh dot of grad_out with the patch row from +0 in cell
+// order — one gemm_a_bt_acc panel. The tile's lane vectors are transposed
+// so that each image's partials land in its own row of `part`
+// ([image][panel][oc * patch]).
+template <std::size_t I, std::size_t J>
+void weight_grad_tile(const LaneConv& lc, const float* gt, const float* group,
+                      std::size_t i0, std::size_t j0, std::size_t kc,
+                      std::size_t lanes, float* part) {
+  static_assert(I * J <= LN);
+  const std::size_t wsize = lc.oc * lc.patch;
+  const std::size_t panels = (lc.cells + kc - 1) / kc;
+  const float* grows = gt + i0 * lc.cells * LN;
+  const std::size_t* off = lc.off.data() + j0;
+  for (std::size_t c0 = 0, panel = 0; c0 < lc.cells; c0 += kc, ++panel) {
+    const std::size_t c1 = std::min(lc.cells, c0 + kc);
+    vlane acc[I][J] = {};
+    std::size_t oy = c0 / lc.ow;
+    std::size_t ox = c0 % lc.ow;
+    for (std::size_t cell = c0; cell < c1; ++cell) {
+      const float* win = group + lc.window(oy, ox);
+      vlane gv[I];
+      for (std::size_t i = 0; i < I; ++i)
+        gv[i] = load_lanes(grows + (i * lc.cells + cell) * LN);
+      for (std::size_t j = 0; j < J; ++j) {
+        const vlane xv = load_lanes(win + off[j]);
+        for (std::size_t i = 0; i < I; ++i) acc[i][j] += gv[i] * xv;
+      }
+      if (++ox == lc.ow) {
+        ox = 0;
+        ++oy;
+      }
+    }
+    vlane r[LN] = {};
+    for (std::size_t i = 0; i < I; ++i)
+      for (std::size_t j = 0; j < J; ++j) r[i * J + j] = acc[i][j];
+    transpose16(r);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const char* src = reinterpret_cast<const char*>(&r[l]);
+      float* dst = part + (l * panels + panel) * wsize + i0 * lc.patch + j0;
+      for (std::size_t i = 0; i < I; ++i)
+        std::memcpy(dst + i * lc.patch, src + i * J * sizeof(float),
+                    J * sizeof(float));
+    }
+  }
+}
+
+// dX: J patch rows x X adjacent cells of output row oy. dcol(p, cell) sums
+// W(o, p) * grad(o, cell) over output channels as gemm_at_b does, and is
+// added into the padded lane plane `gi` like col2im. A padded pixel must
+// take its contributions in ascending patch-row order; within a range of
+// patch rows those come from cells in descending order, so callers walk
+// cells backwards and the tile scatters its cells right to left.
+template <std::size_t J, std::size_t X, bool kSkipZero>
+void input_grad_tile(const LaneConv& lc, const float* gt, const float* w,
+                     std::size_t j0, std::size_t oy, std::size_t ox0,
+                     std::size_t kc, float* gi) {
+  const float* grows = gt + (oy * lc.ow + ox0) * LN;
+  vlane d[J][X];
+  panel_sums<J, X, kSkipZero>(
+      lc.oc, kc,
+      [&](std::size_t j, std::size_t o) { return w[o * lc.patch + j0 + j]; },
+      [&](std::size_t o, std::size_t x) {
+        return load_lanes(grows + (o * lc.cells + x) * LN);
+      },
+      d);
+  for (std::size_t x = X; x-- > 0;) {
+    float* win = gi + lc.window(oy, ox0 + x);
+    for (std::size_t j = 0; j < J; ++j) {
+      float* p = win + lc.off[j0 + j];
+      store_lanes(p, load_lanes(p) + d[j][x]);
+    }
+  }
+}
+
+// Register tile extents: accumulators stay within the 32 vector registers
+// of AVX-512 with room for the operand vectors.
+constexpr std::size_t kFwdI = 4, kFwdX = 4;
+constexpr std::size_t kDwI = 4, kDwJ = 4;
+constexpr std::size_t kDxJ = 9, kDxX = 2;
+
+}  // namespace
+
+std::size_t conv2d_train_cache_size(const ConvGeometry& g, std::size_t batch) {
+  g.validate();
+  return lane_groups(batch) * g.in_channels * (g.in_h + 2 * g.pad) *
+         (g.in_w + 2 * g.pad) * LN;
+}
+
+void conv2d_train_forward(const ConvGeometry& g, std::size_t batch,
+                          std::size_t out_channels, const float* weights,
+                          const float* input, float* out,
+                          const Epilogue& epilogue, std::span<float> cache) {
+  const LaneConv lc(g, out_channels);
+  if (cache.size() != conv2d_train_cache_size(g, batch))
+    throw std::invalid_argument("conv2d_train_forward: cache size mismatch");
+  ensure_env_tune_loaded();
+  const KSplit ks = k_split(lc.patch, lc.cells);
+  const bool skip = skips_zeros(ks, weights, lc.oc * lc.patch);
+  const std::size_t oh = g.out_h();
+  const std::size_t image_out = lc.oc * lc.cells;
+  parallel_chunks(lane_groups(batch), [&](std::size_t, std::size_t begin,
+                                          std::size_t end) {
+    ScratchScope local;  // this worker thread's arena
+    float* ot = local.alloc(image_out * LN).data();
+    for (std::size_t grp = begin; grp < end; ++grp) {
+      const std::size_t n0 = grp * LN;
+      const std::size_t lanes = std::min(LN, batch - n0);
+      // Padding and unused lanes hold +0, exactly what im2col writes for
+      // out-of-image taps.
+      float* group = cache.data() + grp * lc.group_floats;
+      if (g.pad > 0) std::memset(group, 0, lc.group_floats * sizeof(float));
+      rows_to_lanes(input + n0 * lc.image_size, nullptr, lc.image_size,
+                    lc.image_size, lanes, group, padded_offsets(lc));
+      for (std::size_t oy = 0; oy < oh; ++oy)
+        for (std::size_t ox0 = 0; ox0 < lc.ow; ox0 += kFwdX)
+          for (std::size_t i0 = 0; i0 < lc.oc; i0 += kFwdI)
+            with_extents<kFwdI, kFwdX>(
+                std::min(kFwdI, lc.oc - i0), std::min(kFwdX, lc.ow - ox0),
+                [&]<std::size_t I, std::size_t X>() {
+                  if (skip)
+                    forward_tile<I, X, true>(lc, group, weights, i0, oy, ox0,
+                                             ks.kc, epilogue, ot);
+                  else
+                    forward_tile<I, X, false>(lc, group, weights, i0, oy, ox0,
+                                              ks.kc, epilogue, ot);
+                });
+      lanes_to_rows(ot, dense_offsets(), image_out, lanes,
+                    out + n0 * image_out, image_out);
+    }
+  });
+}
+
+void conv2d_train_backward(const ConvGeometry& g, std::size_t batch,
+                           std::size_t out_channels, const float* weights,
+                           std::span<const float> cache,
+                           const float* grad_out, const float* relu_out,
+                           float* weight_grad, float* bias_grad,
+                           float* grad_in) {
+  const LaneConv lc(g, out_channels);
+  if (cache.size() != conv2d_train_cache_size(g, batch))
+    throw std::invalid_argument("conv2d_train_backward: cache size mismatch");
+  ensure_env_tune_loaded();
+  // dW is gemm_a_bt_acc(oc, cells, patch), so k = cells. Its small path is
+  // a row-dot-row reduction the compiler vectorizes in order but splits
+  // between unfused and fused multiply-adds by vector width, so shapes on
+  // that path call gemm_a_bt_acc itself, on an im2col of the lane cache.
+  // dX is gemm_at_b(patch, oc, cells), so k = out_channels.
+  const KSplit ws = k_split(lc.cells, lc.patch);
+  const KSplit xs = k_split(lc.oc, lc.cells);
+  const bool skip = skips_zeros(xs, weights, lc.oc * lc.patch);
+  const std::size_t panels = ws.small ? 0 : (lc.cells + ws.kc - 1) / ws.kc;
+  const std::size_t wsize = lc.oc * lc.patch;
+  const std::size_t groups = lane_groups(batch);
+  const std::size_t image_out = lc.oc * lc.cells;
+  const std::size_t oh = g.out_h();
+
+  ScratchScope scratch;
+  std::span<float> dw_part = scratch.alloc(batch * panels * wsize);
+  std::span<float> db_part = scratch.alloc(groups * lc.oc * LN);
+  parallel_chunks(groups, [&](std::size_t, std::size_t begin,
+                              std::size_t end) {
+    ScratchScope local;  // this worker thread's arena
+    float* gt = local.alloc(image_out * LN).data();
+    float* gi = grad_in ? local.alloc(lc.group_floats).data() : nullptr;
+    for (std::size_t grp = begin; grp < end; ++grp) {
+      const std::size_t n0 = grp * LN;
+      const std::size_t lanes = std::min(LN, batch - n0);
+      const float* group = cache.data() + grp * lc.group_floats;
+      rows_to_lanes(grad_out + n0 * image_out,
+                    relu_out ? relu_out + n0 * image_out : nullptr, image_out,
+                    image_out, lanes, gt, dense_offsets());
+      for (std::size_t i = 0; i < lc.oc; ++i) {
+        vlane acc = {};
+        for (std::size_t cell = 0; cell < lc.cells; ++cell)
+          acc += load_lanes(gt + (i * lc.cells + cell) * LN);
+        store_lanes(db_part.data() + (grp * lc.oc + i) * LN, acc);
+      }
+      float* part = dw_part.data() + n0 * panels * wsize;
+      for (std::size_t i0 = 0; panels > 0 && i0 < lc.oc; i0 += kDwI)
+        for (std::size_t j0 = 0; j0 < lc.patch; j0 += kDwJ)
+          with_extents<kDwI, kDwJ>(
+              std::min(kDwI, lc.oc - i0), std::min(kDwJ, lc.patch - j0),
+              [&]<std::size_t I, std::size_t J>() {
+                weight_grad_tile<I, J>(lc, gt, group, i0, j0, ws.kc, lanes,
+                                       part);
+              });
+      if (!gi) continue;
+      std::memset(gi, 0, lc.group_floats * sizeof(float));
+      const std::size_t xblocks = (lc.ow + kDxX - 1) / kDxX;
+      for (std::size_t j0 = 0; j0 < lc.patch; j0 += kDxJ)
+        for (std::size_t oy = oh; oy-- > 0;)
+          for (std::size_t xb = xblocks; xb-- > 0;)
+            with_extents<kDxJ, kDxX>(
+                std::min(kDxJ, lc.patch - j0),
+                std::min(kDxX, lc.ow - xb * kDxX),
+                [&]<std::size_t J, std::size_t X>() {
+                  if (skip)
+                    input_grad_tile<J, X, true>(lc, gt, weights, j0, oy,
+                                                xb * kDxX, xs.kc, gi);
+                  else
+                    input_grad_tile<J, X, false>(lc, gt, weights, j0, oy,
+                                                 xb * kDxX, xs.kc, gi);
+                });
+      lanes_to_rows(gi, padded_offsets(lc), lc.image_size, lanes,
+                    grad_in + n0 * lc.image_size, lc.image_size);
+    }
+  });
+
+  // The reference's reduction: chunk c's slab starts at +0 and takes each
+  // of its images' partials in order; the slabs then add into the
+  // gradients in chunk order.
+  const std::size_t chunks = intra_op_chunks(batch);
+  std::span<float> dw_slabs = scratch.alloc_zeroed(chunks * wsize);
+  if (ws.small) {
+    parallel_chunks(batch, [&](std::size_t c, std::size_t begin,
+                               std::size_t end) {
+      ScratchScope local;
+      float* gout = local.alloc(image_out).data();
+      float* col = local.alloc(lc.patch * lc.cells).data();
+      for (std::size_t n = begin; n < end; ++n) {
+        const float* src = grad_out + n * image_out;
+        for (std::size_t e = 0; e < image_out; ++e)
+          gout[e] = !relu_out || relu_out[n * image_out + e] > 0.0f ? src[e]
+                                                                   : 0.0f;
+        lane_im2col(lc, cache.data() + (n / LN) * lc.group_floats, n % LN,
+                    col);
+        gemm_a_bt_acc(lc.oc, lc.cells, lc.patch, gout, col,
+                      dw_slabs.data() + c * wsize);
+      }
+    });
+  } else {
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const ChunkRange r = intra_op_chunk_range(batch, c);
+      float* slab = dw_slabs.data() + c * wsize;
+      for (std::size_t n = r.begin; n < r.end; ++n)
+        for (std::size_t panel = 0; panel < panels; ++panel) {
+          const float* row = dw_part.data() + (n * panels + panel) * wsize;
+          for (std::size_t e = 0; e < wsize; ++e) slab[e] += row[e];
+        }
+    }
+  }
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const ChunkRange r = intra_op_chunk_range(batch, c);
+    axpy(1.0f, dw_slabs.subspan(c * wsize, wsize), {weight_grad, wsize});
+    for (std::size_t i = 0; i < lc.oc; ++i) {
+      float slab = 0.0f;
+      for (std::size_t n = r.begin; n < r.end; ++n)
+        slab += db_part[((n / LN) * lc.oc + i) * LN + n % LN];
+      bias_grad[i] += slab;
+    }
+  }
 }
 
 }  // namespace a4nn::tensor

@@ -242,4 +242,49 @@ void conv2d_forward_direct(const ConvGeometry& g, std::size_t out_channels,
                            const float* weights, std::span<const float> image,
                            float* out, const Epilogue& epilogue);
 
+// ---- batch-lane training convolution ---------------------------------------
+//
+// Training runs whole batches, so these kernels vectorize across images:
+// lane l of every 16-float vector belongs to image n0 + l of a 16-image
+// group, and each lane performs exactly the scalar arithmetic of the
+// per-image reference chain for its image — im2col + gemm_ex forward,
+// gemm_a_bt_acc for dW, gemm_at_b + col2im for dX — with the k-panel
+// grouping and small/blocked choice gemm_driver takes for that per-image
+// (k, n) under the installed TileConfig. Results are therefore
+// bit-identical to the reference at every geometry and tuned table (where
+// two different NaNs meet, which one survives is instruction selection's
+// choice in either chain). The one exception is dW on gemm_driver's small
+// path, whose compiled loop rather than its source fixes the bits: there
+// the kernel calls gemm_a_bt_acc itself. Nothing is packed: operands are
+// read straight from a zero-padded, lane-interleaved copy of the input (the
+// "lane cache", laid out [c][y][x][lane] per group), which forward builds
+// and backward reuses instead of an im2col buffer.
+
+/// Floats in the lane cache of a `batch`-image input.
+std::size_t conv2d_train_cache_size(const ConvGeometry& g, std::size_t batch);
+
+/// Training forward over a batch (NCHW in, batch x out_channels x oh x ow
+/// out): per image, out = epilogue(W * im2col(image)), bit-identical to
+/// im2col() + gemm_ex(). Fills `cache` (conv2d_train_cache_size floats)
+/// for conv2d_train_backward.
+void conv2d_train_forward(const ConvGeometry& g, std::size_t batch,
+                          std::size_t out_channels, const float* weights,
+                          const float* input, float* out,
+                          const Epilogue& epilogue, std::span<float> cache);
+
+/// Training backward over the batch whose forward filled `cache`.
+/// grad_out is dL/d(output); with `relu_out` (the post-ReLU forward output
+/// of a fused ReLU) it is masked to out > 0 first. Weight and bias
+/// gradients accumulate into weight_grad / bias_grad exactly as the
+/// reference does: per image, fresh dots (per k-panel) summed into
+/// intra_op_chunks(batch) chunk slabs in image order, slabs added in chunk
+/// order. When `grad_in` is non-null it receives dL/d(input), bit-identical
+/// to gemm_at_b() + col2im() into a zeroed tensor; null skips that work.
+void conv2d_train_backward(const ConvGeometry& g, std::size_t batch,
+                           std::size_t out_channels, const float* weights,
+                           std::span<const float> cache,
+                           const float* grad_out, const float* relu_out,
+                           float* weight_grad, float* bias_grad,
+                           float* grad_in);
+
 }  // namespace a4nn::tensor
