@@ -1,7 +1,8 @@
 // Training-kernel microbenchmark: GFLOP/s for the blocked/packed GEMM
 // variants (and the naive baseline they replaced), the autotuned GEMM, the
 // direct vs im2col convolution paths, and the batch-lane training
-// convolution (forward, and backward's dW + dX), on cubic and conv-shaped
+// convolution (forward, and backward's dW + dX), and the channel-lane
+// training batch norm (forward and backward), on cubic and conv-shaped
 // problems. Emits BENCH_kernels.json so CI can archive throughput per
 // commit, and — with --floor — enforces the shared floor gate
 // (floor_gate.hpp): a kernel below half its floor, a kernel missing from
@@ -15,6 +16,7 @@
 // own shapes first, so the gemm_tuned rows always measure a real tuned
 // config and the measured kernel set is identical either way.
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -246,6 +248,53 @@ int main(int argc, char** argv) {
                            wgrad, bgrad, grad_in);
                      },
                      2 * kTrainBatch});
+  }
+
+  // Training batch norm over a batch of 32 at the phase shapes: forward
+  // (statistics, then normalize) and backward (gradient sums, then the
+  // input gradient). Rows read m x k x n as channels x pixels x batch and
+  // count 8 FLOPs per element each way, so `gemms` is 4.
+  const std::vector<std::array<std::size_t, 2>> bn_shapes = {
+      {4, 16}, {8, 8}, {16, 4}};  // channels, hw
+  for (const auto& [ch, hw] : bn_shapes) {
+    const std::size_t pixels = hw * hw;
+    const std::size_t count = kTrainBatch * ch * pixels;
+    float* x = keep(random_buffer(count, rng));
+    float* gout = keep(random_buffer(count, rng));
+    float* gamma = keep(random_buffer(ch, rng));
+    float* beta = keep(random_buffer(ch, rng));
+    float* xhat = keep(std::vector<float>(count));
+    float* out = keep(std::vector<float>(count));
+    float* dx = keep(std::vector<float>(count));
+    // mean, inv_std (the variance until inverted), sum_dy, sum_dy_xhat;
+    // the closures share ownership so the buffer outlives this loop.
+    auto stats = std::make_shared<std::vector<double>>(4 * ch);
+    cases.push_back({"bn_train_fwd", ch, pixels, kTrainBatch,
+                     [=] {
+                       double* mean = stats->data();
+                       double* inv_std = mean + ch;
+                       tensor::batchnorm_train_stats(kTrainBatch, ch, pixels,
+                                                     x, mean, inv_std);
+                       for (std::size_t c = 0; c < ch; ++c)
+                         inv_std[c] = 1.0 / std::sqrt(inv_std[c] + 1e-5);
+                       tensor::batchnorm_train_normalize(
+                           kTrainBatch, ch, pixels, x, mean, inv_std, gamma,
+                           beta, xhat, out);
+                     },
+                     4});
+    cases.push_back({"bn_train_bwd", ch, pixels, kTrainBatch,
+                     [=] {
+                       const double* inv_std = stats->data() + ch;
+                       double* sum_dy = stats->data() + 2 * ch;
+                       double* sum_dy_xhat = sum_dy + ch;
+                       tensor::batchnorm_train_grad_sums(kTrainBatch, ch,
+                                                         pixels, gout, xhat,
+                                                         sum_dy, sum_dy_xhat);
+                       tensor::batchnorm_train_grad_input(
+                           kTrainBatch, ch, pixels, gout, xhat, gamma,
+                           inv_std, sum_dy, sum_dy_xhat, dx);
+                     },
+                     4});
   }
 
   util::AsciiTable table({"kernel", "m", "k", "n", "GFLOP/s", "ns/iter"});

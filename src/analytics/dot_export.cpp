@@ -43,7 +43,9 @@ std::string to_dot(const nas::Genome& genome,
   for (std::size_t p = 0; p < genome.phase_count(); ++p) {
     const auto& phase = genome.phases[p];
     const auto active = active_nodes(phase);
-    const std::string prefix = "p" + std::to_string(p) + "_";
+    std::string prefix = "p";
+    prefix += std::to_string(p);
+    prefix += '_';
 
     out << "  subgraph cluster_phase" << p << " {\n";
     out << "    label=\"phase " << p + 1 << " (" << channels << " ch)\";\n";

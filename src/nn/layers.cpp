@@ -1,8 +1,10 @@
 #include "nn/layers.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/parallel.hpp"
 #include "tensor/scratch.hpp"
@@ -383,6 +385,101 @@ MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
   if (window == 0) throw std::invalid_argument("MaxPool2d: window must be > 0");
 }
 
+namespace {
+
+template <std::size_t NL>
+struct PoolLanes;
+template <>
+struct PoolLanes<4> {
+  typedef float vf __attribute__((vector_size(16)));
+  typedef std::int32_t vi __attribute__((vector_size(16)));
+};
+template <>
+struct PoolLanes<8> {
+  typedef float vf __attribute__((vector_size(32)));
+  typedef std::int32_t vi __attribute__((vector_size(32)));
+};
+
+// Max and first argmax of NL consecutive 2x2 windows of one output row
+// (lane l = output ox0 + l; row0 is the top-left input of output ox0),
+// with vector compares and selects: on random data the winner's position
+// is unpredictable, so a branch per cell mispredicts. Each lane scans its
+// window row-major; strict > keeps the first maximum, and a NaN never
+// compares greater, so it neither wins nor is replaced.
+template <std::size_t NL, std::size_t... J>
+void max_pool2_lanes(const float* row0, std::size_t w, std::size_t offset,
+                     float* out, std::size_t* argmax,
+                     std::index_sequence<J...>) {
+  using vf = typename PoolLanes<NL>::vf;
+  using vi = typename PoolLanes<NL>::vi;
+  vf best;
+  vi which = {};  // scan position of the current maximum, 0..3
+  for (std::size_t dy = 0; dy < 2; ++dy) {
+    vf a, b;
+    std::memcpy(&a, row0 + dy * w, sizeof a);
+    std::memcpy(&b, row0 + dy * w + NL, sizeof b);
+    const vf left = __builtin_shufflevector(a, b, (2 * J)...);
+    const vf right = __builtin_shufflevector(a, b, (2 * J + 1)...);
+    const std::int32_t pos = static_cast<std::int32_t>(2 * dy);
+    if (dy == 0) {
+      best = left;
+    } else {
+      const vi greater = left > best;
+      best = greater ? left : best;
+      which = greater ? vi{} + pos : which;
+    }
+    const vi greater = right > best;
+    best = greater ? right : best;
+    which = greater ? vi{} + (pos + 1) : which;
+  }
+  std::memcpy(out, &best, sizeof best);
+  if (argmax)
+    for (std::size_t l = 0; l < NL; ++l)
+      argmax[l] = offset + static_cast<std::size_t>(which[l] / 2) * w + 2 * l +
+                  static_cast<std::size_t>(which[l] % 2);
+}
+
+// Max and first argmax of each window of one plane, scanned row-major
+// with the same rule. 2x2 windows (the search space's pool) run NL-wide
+// lanes along each output row; the rest run one window at a time.
+void max_pool_plane(const float* plane, std::size_t k, std::size_t w,
+                    std::size_t oh, std::size_t ow, std::size_t plane_offset,
+                    float* out, std::size_t* argmax) {
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    std::size_t ox = 0;
+    auto lanes = [&]<std::size_t NL>() {
+      for (; ox + NL <= ow; ox += NL) {
+        const std::size_t first = oy * k * w + ox * k;
+        max_pool2_lanes<NL>(plane + first, w, plane_offset + first,
+                            out + oy * ow + ox,
+                            argmax ? argmax + oy * ow + ox : nullptr,
+                            std::make_index_sequence<NL>{});
+      }
+    };
+    if (k == 2) {
+      lanes.template operator()<8>();
+      lanes.template operator()<4>();
+    }
+    for (; ox < ow; ++ox) {
+      const std::size_t first = oy * k * w + ox * k;
+      float best = plane[first];
+      std::size_t best_idx = first;
+      for (std::size_t dy = 0; dy < k; ++dy) {
+        for (std::size_t dx = 0; dx < k; ++dx) {
+          const std::size_t idx = first + dy * w + dx;
+          const bool greater = plane[idx] > best;
+          best = greater ? plane[idx] : best;
+          best_idx = greater ? idx : best_idx;
+        }
+      }
+      out[oy * ow + ox] = best;
+      if (argmax) argmax[oy * ow + ox] = plane_offset + best_idx;
+    }
+  }
+}
+
+}  // namespace
+
 Tensor MaxPool2d::forward(const Tensor& x, bool training) {
   check_rank4(x.shape(), "MaxPool2d");
   const std::size_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -391,33 +488,13 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
   const std::size_t oh = h / window_, ow = w / window_;
   if (training) {
     in_shape_cache_ = x.shape();
-    argmax_cache_.assign(batch * ch * oh * ow, 0);
+    argmax_cache_.resize(batch * ch * oh * ow);  // every entry is written
   }
   Tensor out({batch, ch, oh, ow});
-  std::size_t oi = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      const float* plane = x.data() + (n * ch + c) * h * w;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
-          float best = plane[oy * window_ * w + ox * window_];
-          std::size_t best_idx = oy * window_ * w + ox * window_;
-          for (std::size_t dy = 0; dy < window_; ++dy) {
-            for (std::size_t dx = 0; dx < window_; ++dx) {
-              const std::size_t idx =
-                  (oy * window_ + dy) * w + ox * window_ + dx;
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = idx;
-              }
-            }
-          }
-          out[oi] = best;
-          if (training) argmax_cache_[oi] = (n * ch + c) * h * w + best_idx;
-        }
-      }
-    }
-  }
+  for (std::size_t p = 0; p < batch * ch; ++p)
+    max_pool_plane(x.data() + p * h * w, window_, w, oh, ow, p * h * w,
+                   out.data() + p * oh * ow,
+                   training ? argmax_cache_.data() + p * oh * ow : nullptr);
   return out;
 }
 
@@ -579,7 +656,6 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
   if (x.dim(1) != channels_)
     throw std::invalid_argument("BatchNorm2d: channel mismatch");
   const std::size_t batch = x.dim(0), hw = x.dim(2) * x.dim(3);
-  const std::size_t per_channel = batch * hw;
   Tensor out(x.shape());
 
   if (!training) {
@@ -603,83 +679,48 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
     return out;
   }
 
+  // The batch statistics, normalize pass and their backward run as the
+  // channel-lane kernels (tensor/ops.hpp), bit-identical to one sequential
+  // double chain per channel.
   in_shape_cache_ = x.shape();
   batch_mean_.assign(channels_, 0.0);
   batch_inv_std_.assign(channels_, 0.0);
-  xhat_cache_ = Tensor(x.shape());
-
+  if (!xhat_cache_.same_shape(x)) xhat_cache_ = Tensor(x.shape());
+  // batch_inv_std_ holds each channel's variance until it is inverted below.
+  tensor::batchnorm_train_stats(batch, channels_, hw, x.data(),
+                                batch_mean_.data(), batch_inv_std_.data());
   for (std::size_t c = 0; c < channels_; ++c) {
-    double acc = 0.0;
-    for (std::size_t n = 0; n < batch; ++n) {
-      const float* plane = x.data() + (n * channels_ + c) * hw;
-      for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
-    }
-    const double mean_c = acc / static_cast<double>(per_channel);
-    double vacc = 0.0;
-    for (std::size_t n = 0; n < batch; ++n) {
-      const float* plane = x.data() + (n * channels_ + c) * hw;
-      for (std::size_t i = 0; i < hw; ++i) {
-        const double d = plane[i] - mean_c;
-        vacc += d * d;
-      }
-    }
-    const double var_c = vacc / static_cast<double>(per_channel);
+    const double mean_c = batch_mean_[c];
+    const double var_c = batch_inv_std_[c];
     running_mean_[c] = static_cast<float>((1.0 - momentum_) * running_mean_[c] +
                                           momentum_ * mean_c);
     running_var_[c] = static_cast<float>((1.0 - momentum_) * running_var_[c] +
                                          momentum_ * var_c);
-    const double inv_std = 1.0 / std::sqrt(var_c + eps_);
-    batch_mean_[c] = mean_c;
-    batch_inv_std_[c] = inv_std;
-    const float g = gamma_[c], b = beta_[c];
-    for (std::size_t n = 0; n < batch; ++n) {
-      const float* in_plane = x.data() + (n * channels_ + c) * hw;
-      float* xhat_plane = xhat_cache_.data() + (n * channels_ + c) * hw;
-      float* out_plane = out.data() + (n * channels_ + c) * hw;
-      for (std::size_t i = 0; i < hw; ++i) {
-        const float xhat =
-            static_cast<float>((in_plane[i] - mean_c) * inv_std);
-        xhat_plane[i] = xhat;
-        out_plane[i] = g * xhat + b;
-      }
-    }
+    batch_inv_std_[c] = 1.0 / std::sqrt(var_c + eps_);
   }
+  tensor::batchnorm_train_normalize(batch, channels_, hw, x.data(),
+                                    batch_mean_.data(), batch_inv_std_.data(),
+                                    gamma_.data(), beta_.data(),
+                                    xhat_cache_.data(), out.data());
   return out;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   const std::size_t batch = in_shape_cache_[0];
   const std::size_t hw = in_shape_cache_[2] * in_shape_cache_[3];
-  const double m = static_cast<double>(batch * hw);
   Tensor grad_in(in_shape_cache_);
-
+  std::vector<double> sum_dy(channels_), sum_dy_xhat(channels_);
+  tensor::batchnorm_train_grad_sums(batch, channels_, hw, grad_out.data(),
+                                    xhat_cache_.data(), sum_dy.data(),
+                                    sum_dy_xhat.data());
   for (std::size_t c = 0; c < channels_; ++c) {
-    // Standard batch-norm backward: accumulate the two reduction terms,
-    // then distribute.
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (std::size_t n = 0; n < batch; ++n) {
-      const float* dy = grad_out.data() + (n * channels_ + c) * hw;
-      const float* xh = xhat_cache_.data() + (n * channels_ + c) * hw;
-      for (std::size_t i = 0; i < hw; ++i) {
-        sum_dy += dy[i];
-        sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
-      }
-    }
-    gamma_grad_[c] += static_cast<float>(sum_dy_xhat);
-    beta_grad_[c] += static_cast<float>(sum_dy);
-    const double g = gamma_[c];
-    const double inv_std = batch_inv_std_[c];
-    for (std::size_t n = 0; n < batch; ++n) {
-      const float* dy = grad_out.data() + (n * channels_ + c) * hw;
-      const float* xh = xhat_cache_.data() + (n * channels_ + c) * hw;
-      float* dx = grad_in.data() + (n * channels_ + c) * hw;
-      for (std::size_t i = 0; i < hw; ++i) {
-        dx[i] = static_cast<float>(
-            g * inv_std *
-            (dy[i] - sum_dy / m - xh[i] * sum_dy_xhat / m));
-      }
-    }
+    gamma_grad_[c] += static_cast<float>(sum_dy_xhat[c]);
+    beta_grad_[c] += static_cast<float>(sum_dy[c]);
   }
+  tensor::batchnorm_train_grad_input(batch, channels_, hw, grad_out.data(),
+                                     xhat_cache_.data(), gamma_.data(),
+                                     batch_inv_std_.data(), sum_dy.data(),
+                                     sum_dy_xhat.data(), grad_in.data());
   return grad_in;
 }
 

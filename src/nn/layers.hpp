@@ -101,6 +101,8 @@ class ReLU : public Layer {
 };
 
 /// Max pooling with square window; window == stride (non-overlapping).
+/// Each window is scanned row-major and its first maximum wins (a NaN never
+/// replaces a number); 2x2 windows run 4 or 8 at a time with vector selects.
 class MaxPool2d : public Layer {
  public:
   explicit MaxPool2d(std::size_t window);
@@ -165,7 +167,10 @@ class Dropout : public Layer {
 };
 
 /// Per-channel batch normalization over (N, H, W) with learnable affine
-/// parameters and running statistics for evaluation.
+/// parameters and running statistics for evaluation. Training runs the
+/// channel-lane kernels (tensor::batchnorm_train_*), bit-identical to one
+/// sequential double chain per channel; evaluation normalizes per sample
+/// against the running statistics.
 class BatchNorm2d : public Layer {
  public:
   explicit BatchNorm2d(std::size_t channels, double momentum = 0.1,

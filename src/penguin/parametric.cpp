@@ -153,7 +153,8 @@ class VaporPressure final : public ParametricFunction {
   }
 
   std::optional<std::vector<double>> initial_guess(
-      std::span<const double> xs, std::span<const double> ys) const override {
+      std::span<const double> /*xs*/,
+      std::span<const double> ys) const override {
     // ln y = a + b / x + c ln x: least squares on the log curve would need
     // a 3-column solve; a coarse guess is enough for LM to take over.
     for (double y : ys) {

@@ -1,12 +1,17 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "tensor/autotune.hpp"
 #include "tensor/parallel.hpp"
@@ -1217,6 +1222,307 @@ void conv2d_train_backward(const ConvGeometry& g, std::size_t batch,
       for (std::size_t n = r.begin; n < r.end; ++n)
         slab += db_part[((n / LN) * lc.oc + i) * LN + n % LN];
       bias_grad[i] += slab;
+    }
+  }
+}
+
+// ------------------------------------------------- channel-lane batch norm
+//
+// Lane l of a group vector is channel c0 + l of a W-channel group (W = 4 up
+// to 4 channels, else 8). Lanes past the last channel repeat it and are
+// never stored. One step of every chain is one (image, pixel) pair, taken
+// in the reference's order: images outer, pixels inner. Runs of W pixels
+// move from the group's W channel planes into lane vectors by an
+// in-register W x W transpose; leftover pixels (hw % W) are gathered lane
+// by lane.
+
+namespace {
+
+// Float <-> double lane conversion. GCC lowers __builtin_convertvector's
+// widening in halves through the stack, so targets that have the one-
+// instruction form get it spelled out; both convert exactly like the
+// scalar casts (widening is exact, narrowing rounds per MXCSR).
+template <std::size_t W>
+struct BnLanes;
+template <>
+struct BnLanes<4> {
+  typedef float vf __attribute__((vector_size(16)));
+  typedef double vd __attribute__((vector_size(32)));
+  static vd widen(vf v) {
+#if defined(__AVX__)
+    return reinterpret_cast<vd>(_mm256_cvtps_pd(reinterpret_cast<__m128>(v)));
+#else
+    return __builtin_convertvector(v, vd);
+#endif
+  }
+};
+template <>
+struct BnLanes<8> {
+  typedef float vf __attribute__((vector_size(32)));
+  typedef double vd __attribute__((vector_size(64)));
+  static vd widen(vf v) {
+#if defined(__AVX512F__)
+    return reinterpret_cast<vd>(
+        _mm512_maskz_cvtps_pd(0xff, reinterpret_cast<__m256>(v)));
+#else
+    return __builtin_convertvector(v, vd);
+#endif
+  }
+  static vf narrow(vd v) {
+#if defined(__AVX512F__)
+    return reinterpret_cast<vf>(
+        _mm512_maskz_cvtpd_ps(0xff, reinterpret_cast<__m512d>(v)));
+#else
+    return __builtin_convertvector(v, vf);
+#endif
+  }
+};
+
+template <typename V>
+inline V load_vec(const float* p) {
+  V v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename V>
+inline void store_vec(float* p, V v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+
+// Hides v from the optimizer, so the multiply that produced it cannot be
+// contracted into the add or subtract that consumes it.
+template <typename V>
+inline void opaque(V& v) {
+#if defined(__AVX512F__)
+  __asm__("" : "+v"(v));
+#else
+  __asm__("" : "+m"(v));
+#endif
+}
+
+// One butterfly stage of a W x W transpose: rows a and b = a + B trade
+// their off-diagonal B-wide blocks (transpose16's scheme at width W).
+template <std::size_t B, typename V, std::size_t... J>
+inline void lane_butterfly(V& a, V& b, std::index_sequence<J...>) {
+  constexpr std::size_t W = sizeof...(J);
+  const V lo = __builtin_shufflevector(a, b, ((J & B) ? W + J - B : J)...);
+  const V hi = __builtin_shufflevector(a, b, ((J & B) ? W + J : J + B)...);
+  a = lo;
+  b = hi;
+}
+
+template <std::size_t B, std::size_t W, typename V>
+inline void transpose_lanes(V (&r)[W]) {
+  for (std::size_t i = 0; i < W; ++i)
+    if (!(i & B))
+      lane_butterfly<B>(r[i], r[i + B], std::make_index_sequence<W>{});
+  if constexpr (B > 1) transpose_lanes<B / 2>(r);
+}
+
+// Row offsets of a group's channel planes. Padding lanes repeat the last
+// channel, so every lane loads in bounds without a branch; their results
+// are never stored.
+template <std::size_t W>
+std::array<std::size_t, W> lane_rows(std::size_t hw, std::size_t lanes) {
+  std::array<std::size_t, W> rows{};
+  for (std::size_t l = 0; l < W; ++l) rows[l] = std::min(l, lanes - 1) * hw;
+  return rows;
+}
+
+// Calls step(v) for pixel i = 0..hw-1 of one image, in order, where lane l
+// of v[s] is planes[s][rows[l] + i]: S tensors of one layout in lockstep.
+template <std::size_t W, std::size_t S, typename Step>
+inline void for_pixel_lanes(const std::array<const float*, S>& planes,
+                            std::size_t hw,
+                            const std::array<std::size_t, W>& rows,
+                            Step&& step) {
+  using V = typename BnLanes<W>::vf;
+  std::size_t i = 0;
+  for (; i + W <= hw; i += W) {
+    V r[S][W];
+    for (std::size_t s = 0; s < S; ++s) {
+      for (std::size_t l = 0; l < W; ++l)
+        r[s][l] = load_vec<V>(planes[s] + rows[l] + i);
+      transpose_lanes<W / 2>(r[s]);
+    }
+    for (std::size_t t = 0; t < W; ++t) {
+      std::array<V, S> v;
+      for (std::size_t s = 0; s < S; ++s) v[s] = r[s][t];
+      step(v);
+    }
+  }
+  for (; i < hw; ++i) {
+    std::array<V, S> v;
+    for (std::size_t s = 0; s < S; ++s) {
+      V lanes;
+      for (std::size_t l = 0; l < W; ++l) lanes[l] = planes[s][rows[l] + i];
+      v[s] = lanes;
+    }
+    step(v);
+  }
+}
+
+// Mean and variance chains of each W-channel group: two passes over x, the
+// second against the first's mean, as the reference makes them.
+template <std::size_t W>
+void bn_stats_lanes(std::size_t batch, std::size_t channels, std::size_t hw,
+                    const float* x, double* mean, double* var) {
+  using L = BnLanes<W>;
+  using V = typename L::vf;
+  using D = typename L::vd;
+  const double count = static_cast<double>(batch * hw);
+  for (std::size_t c0 = 0; c0 < channels; c0 += W) {
+    const std::size_t lanes = std::min(W, channels - c0);
+    const auto rows = lane_rows<W>(hw, lanes);
+    D acc = {};
+    for (std::size_t n = 0; n < batch; ++n)
+      for_pixel_lanes<W, 1>({x + (n * channels + c0) * hw}, hw, rows,
+                            [&](const std::array<V, 1>& v) {
+                              acc += L::widen(v[0]);
+                            });
+    const D mean_v = acc / count;
+    D vacc = {};
+    for (std::size_t n = 0; n < batch; ++n)
+      for_pixel_lanes<W, 1>({x + (n * channels + c0) * hw}, hw, rows,
+                            [&](const std::array<V, 1>& v) {
+                              const D d = L::widen(v[0]) - mean_v;
+                              vacc += d * d;
+                            });
+    const D var_v = vacc / count;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      mean[c0 + l] = mean_v[l];
+      var[c0 + l] = var_v[l];
+    }
+  }
+}
+
+template <std::size_t W>
+void bn_grad_sums_lanes(std::size_t batch, std::size_t channels,
+                        std::size_t hw, const float* dy, const float* xhat,
+                        double* sum_dy, double* sum_dy_xhat) {
+  using L = BnLanes<W>;
+  using V = typename L::vf;
+  using D = typename L::vd;
+  for (std::size_t c0 = 0; c0 < channels; c0 += W) {
+    const std::size_t lanes = std::min(W, channels - c0);
+    const auto rows = lane_rows<W>(hw, lanes);
+    D s = {}, sx = {};
+    for (std::size_t n = 0; n < batch; ++n) {
+      const std::size_t base = (n * channels + c0) * hw;
+      for_pixel_lanes<W, 2>({dy + base, xhat + base}, hw, rows,
+                            [&](const std::array<V, 2>& v) {
+                              const D g = L::widen(v[0]);
+                              s += g;
+                              sx += g * L::widen(v[1]);
+                            });
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      sum_dy[c0 + l] = s[l];
+      sum_dy_xhat[c0 + l] = sx[l];
+    }
+  }
+}
+
+}  // namespace
+
+void batchnorm_train_stats(std::size_t batch, std::size_t channels,
+                           std::size_t hw, const float* x, double* mean,
+                           double* var) {
+  if (channels <= 4)
+    bn_stats_lanes<4>(batch, channels, hw, x, mean, var);
+  else
+    bn_stats_lanes<8>(batch, channels, hw, x, mean, var);
+}
+
+void batchnorm_train_grad_sums(std::size_t batch, std::size_t channels,
+                               std::size_t hw, const float* dy,
+                               const float* xhat, double* sum_dy,
+                               double* sum_dy_xhat) {
+  if (channels <= 4)
+    bn_grad_sums_lanes<4>(batch, channels, hw, dy, xhat, sum_dy, sum_dy_xhat);
+  else
+    bn_grad_sums_lanes<8>(batch, channels, hw, dy, xhat, sum_dy, sum_dy_xhat);
+}
+
+void batchnorm_train_normalize(std::size_t batch, std::size_t channels,
+                               std::size_t hw, const float* x,
+                               const double* mean, const double* inv_std,
+                               const float* gamma, const float* beta,
+                               float* xhat, float* out) {
+  using L = BnLanes<8>;
+  using V = L::vf;
+  using D = L::vd;
+  // Per image, xhat first, then out from the xhat just written (still in
+  // L1): one output stream per pass runs about twice as fast here as
+  // writing xhat and out side by side.
+  for (std::size_t n = 0; n < batch; ++n) {
+    const std::size_t image = n * channels * hw;
+    for (std::size_t c = 0; c < channels; ++c) {
+      const float* in_plane = x + image + c * hw;
+      float* xhat_plane = xhat + image + c * hw;
+      const double mean_c = mean[c], inv = inv_std[c];
+      std::size_t i = 0;
+      for (; i + 8 <= hw; i += 8) {
+        const D xd = L::widen(load_vec<V>(in_plane + i));
+        store_vec(xhat_plane + i, L::narrow((xd - mean_c) * inv));
+      }
+      for (; i < hw; ++i)
+        xhat_plane[i] = static_cast<float>((in_plane[i] - mean_c) * inv);
+    }
+    for (std::size_t c = 0; c < channels; ++c) {
+      const float* xhat_plane = xhat + image + c * hw;
+      float* out_plane = out + image + c * hw;
+      const float g = gamma[c], b = beta[c];
+      std::size_t i = 0;
+      for (; i + 8 <= hw; i += 8)
+        store_vec(out_plane + i, g * load_vec<V>(xhat_plane + i) + b);
+      for (; i < hw; ++i) out_plane[i] = g * xhat_plane[i] + b;
+    }
+  }
+}
+
+void batchnorm_train_grad_input(std::size_t batch, std::size_t channels,
+                                std::size_t hw, const float* dy,
+                                const float* xhat, const float* gamma,
+                                const double* inv_std, const double* sum_dy,
+                                const double* sum_dy_xhat, float* dx) {
+  using L = BnLanes<8>;
+  using V = L::vf;
+  using D = L::vd;
+  const std::size_t count = batch * hw;
+  const double m = static_cast<double>(count);
+  // For a power-of-two count, 1 / m is exact, so t / m and t * (1 / m) are
+  // the same correctly rounded value; the multiply is far cheaper.
+  const bool exact_reciprocal = (count & (count - 1)) == 0;
+  const double inv_m = 1.0 / m;
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t c = 0; c < channels; ++c) {
+      const std::size_t base = (n * channels + c) * hw;
+      const float* g_plane = dy + base;
+      const float* xh_plane = xhat + base;
+      float* dx_plane = dx + base;
+      const double g = gamma[c];
+      const double k = g * inv_std[c];
+      const double mean_dy = sum_dy[c] / m;
+      const double s = sum_dy_xhat[c];
+      std::size_t i = 0;
+      for (; i + 8 <= hw; i += 8) {
+        const D gd = L::widen(load_vec<V>(g_plane + i));
+        const D xd = L::widen(load_vec<V>(xh_plane + i));
+        D q = xd * s;
+        if (exact_reciprocal) {
+          q = q * inv_m;
+          opaque(q);
+        } else {
+          q = q / m;
+        }
+        store_vec(dx_plane + i, L::narrow(k * (gd - mean_dy - q)));
+      }
+      for (; i < hw; ++i)
+        dx_plane[i] = static_cast<float>(
+            g * inv_std[c] *
+            (g_plane[i] - sum_dy[c] / m - xh_plane[i] * sum_dy_xhat[c] / m));
     }
   }
 }

@@ -287,4 +287,49 @@ void conv2d_train_backward(const ConvGeometry& g, std::size_t batch,
                            float* weight_grad, float* bias_grad,
                            float* grad_in);
 
+// ---- channel-lane training batch norm --------------------------------------
+//
+// Training BatchNorm2d reduces each channel of an NCHW batch to one
+// sequential `double` chain in (image, pixel) order. The chains are
+// independent, so these kernels run them side by side: lane c of every
+// vector belongs to channel c (4 or 8 lanes per group; padding lanes are
+// never stored), and each lane performs exactly the scalar arithmetic of the
+// per-channel reference loop, in its order. Elementwise passes (normalize,
+// input gradient) vectorize along the pixels of a plane instead. Every
+// expression is written as the reference writes it, so a build that
+// contracts `a * b + c` into an FMA does so in both; the one rewrite, a
+// division by a power-of-two count done as a multiply by its exact
+// reciprocal, is kept out of contraction's reach. Results are
+// bit-identical to the reference (where two NaNs meet, which one survives
+// is instruction selection's choice in either).
+
+/// Per-channel batch mean and biased variance of x (batch x channels x hw):
+/// mean = (sum of x) / (batch*hw), var = (sum of (x - mean)^2) / (batch*hw),
+/// each sum one double chain over images, then pixels.
+void batchnorm_train_stats(std::size_t batch, std::size_t channels,
+                           std::size_t hw, const float* x, double* mean,
+                           double* var);
+
+/// xhat = float((x - mean[c]) * inv_std[c]); out = gamma[c] * xhat + beta[c].
+void batchnorm_train_normalize(std::size_t batch, std::size_t channels,
+                               std::size_t hw, const float* x,
+                               const double* mean, const double* inv_std,
+                               const float* gamma, const float* beta,
+                               float* xhat, float* out);
+
+/// Per-channel sum of dy and of double(dy) * xhat, each one double chain
+/// over images, then pixels.
+void batchnorm_train_grad_sums(std::size_t batch, std::size_t channels,
+                               std::size_t hw, const float* dy,
+                               const float* xhat, double* sum_dy,
+                               double* sum_dy_xhat);
+
+/// dx = float(gamma[c] * inv_std[c] *
+///            (dy - sum_dy[c] / m - xhat * sum_dy_xhat[c] / m)), m = batch*hw.
+void batchnorm_train_grad_input(std::size_t batch, std::size_t channels,
+                                std::size_t hw, const float* dy,
+                                const float* xhat, const float* gamma,
+                                const double* inv_std, const double* sum_dy,
+                                const double* sum_dy_xhat, float* dx);
+
 }  // namespace a4nn::tensor

@@ -116,7 +116,9 @@ TEST(EngineRobustness, AllZeroHistoryStaysFinite) {
   const penguin::PredictionEngine engine(penguin::default_engine_config());
   const std::vector<double> zeros(10, 0.0);
   const auto p = engine.predict(zeros);
-  if (p) EXPECT_TRUE(std::isfinite(*p));
+  if (p) {
+    EXPECT_TRUE(std::isfinite(*p));
+  }
 }
 
 TEST(EngineRobustness, ConvergenceNeedsFullWindowAndBounds) {

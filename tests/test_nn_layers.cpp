@@ -2,13 +2,20 @@
 // shape/FLOPs accounting, and spec/weights serialization round trips.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/factory.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/phase_block.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/ops.hpp"
 
 namespace a4nn::nn {
 namespace {
@@ -245,6 +252,363 @@ TEST(BatchNorm2d, EvalUsesRunningStats) {
   const Tensor y = bn.forward(probe, false);
   // Input at the running mean should normalize to ~0.
   EXPECT_NEAR(y[0], 0.0f, 0.3f);
+}
+
+// ---- channel-lane BatchNorm2d and branch-free MaxPool2d vs their old loops
+//
+// The reference classes below keep the loops the layers ran before the
+// channel-lane kernels and the branch-free pool, verbatim, and the layers
+// must reproduce them bit for bit. Both sides compile in this file's build,
+// so whatever FMA contraction the build applies, it applies to both.
+
+// Training-mode BatchNorm2d as one sequential double chain per channel.
+struct ReferenceBatchNorm {
+  explicit ReferenceBatchNorm(std::size_t channels) : channels_(channels) {}
+
+  std::size_t channels_;
+  double momentum_ = 0.1, eps_ = 1e-5;
+  Tensor gamma_, gamma_grad_, beta_, beta_grad_, running_mean_, running_var_;
+  Tensor xhat_cache_;
+  std::vector<double> batch_mean_, batch_inv_std_;
+  Shape in_shape_cache_;
+  // Not in the layer: each channel's variance and backward sums, recorded
+  // so the kernels' doubles can be checked below float resolution.
+  std::vector<double> batch_var_, sum_dy_, sum_dy_xhat_;
+
+  Tensor forward(const Tensor& x) {
+    const std::size_t batch = x.dim(0), hw = x.dim(2) * x.dim(3);
+    const std::size_t per_channel = batch * hw;
+    Tensor out(x.shape());
+    in_shape_cache_ = x.shape();
+    batch_mean_.assign(channels_, 0.0);
+    batch_inv_std_.assign(channels_, 0.0);
+    batch_var_.assign(channels_, 0.0);
+    xhat_cache_ = Tensor(x.shape());
+
+    for (std::size_t c = 0; c < channels_; ++c) {
+      double acc = 0.0;
+      for (std::size_t n = 0; n < batch; ++n) {
+        const float* plane = x.data() + (n * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
+      }
+      const double mean_c = acc / static_cast<double>(per_channel);
+      double vacc = 0.0;
+      for (std::size_t n = 0; n < batch; ++n) {
+        const float* plane = x.data() + (n * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) {
+          const double d = plane[i] - mean_c;
+          vacc += d * d;
+        }
+      }
+      const double var_c = vacc / static_cast<double>(per_channel);
+      running_mean_[c] = static_cast<float>((1.0 - momentum_) * running_mean_[c] +
+                                            momentum_ * mean_c);
+      running_var_[c] = static_cast<float>((1.0 - momentum_) * running_var_[c] +
+                                           momentum_ * var_c);
+      const double inv_std = 1.0 / std::sqrt(var_c + eps_);
+      batch_var_[c] = var_c;
+      batch_mean_[c] = mean_c;
+      batch_inv_std_[c] = inv_std;
+      const float g = gamma_[c], b = beta_[c];
+      for (std::size_t n = 0; n < batch; ++n) {
+        const float* in_plane = x.data() + (n * channels_ + c) * hw;
+        float* xhat_plane = xhat_cache_.data() + (n * channels_ + c) * hw;
+        float* out_plane = out.data() + (n * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) {
+          const float xhat =
+              static_cast<float>((in_plane[i] - mean_c) * inv_std);
+          xhat_plane[i] = xhat;
+          out_plane[i] = g * xhat + b;
+        }
+      }
+    }
+    return out;
+  }
+
+  Tensor backward(const Tensor& grad_out) {
+    const std::size_t batch = in_shape_cache_[0];
+    const std::size_t hw = in_shape_cache_[2] * in_shape_cache_[3];
+    const double m = static_cast<double>(batch * hw);
+    Tensor grad_in(in_shape_cache_);
+    sum_dy_.assign(channels_, 0.0);
+    sum_dy_xhat_.assign(channels_, 0.0);
+
+    for (std::size_t c = 0; c < channels_; ++c) {
+      // Standard batch-norm backward: accumulate the two reduction terms,
+      // then distribute.
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (std::size_t n = 0; n < batch; ++n) {
+        const float* dy = grad_out.data() + (n * channels_ + c) * hw;
+        const float* xh = xhat_cache_.data() + (n * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) {
+          sum_dy += dy[i];
+          sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
+        }
+      }
+      sum_dy_[c] = sum_dy;
+      sum_dy_xhat_[c] = sum_dy_xhat;
+      gamma_grad_[c] += static_cast<float>(sum_dy_xhat);
+      beta_grad_[c] += static_cast<float>(sum_dy);
+      const double g = gamma_[c];
+      const double inv_std = batch_inv_std_[c];
+      for (std::size_t n = 0; n < batch; ++n) {
+        const float* dy = grad_out.data() + (n * channels_ + c) * hw;
+        const float* xh = xhat_cache_.data() + (n * channels_ + c) * hw;
+        float* dx = grad_in.data() + (n * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) {
+          dx[i] = static_cast<float>(
+              g * inv_std *
+              (dy[i] - sum_dy / m - xh[i] * sum_dy_xhat / m));
+        }
+      }
+    }
+    return grad_in;
+  }
+};
+
+// Training-mode MaxPool2d forward as it was: a branch per window cell.
+struct ReferenceMaxPool {
+  explicit ReferenceMaxPool(std::size_t window) : window_(window) {}
+
+  std::size_t window_;
+  std::vector<std::size_t> argmax_cache_;
+
+  Tensor forward(const Tensor& x) {
+    const std::size_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
+    const std::size_t oh = h / window_, ow = w / window_;
+    argmax_cache_.assign(batch * ch * oh * ow, 0);
+    Tensor out({batch, ch, oh, ow});
+    std::size_t oi = 0;
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t c = 0; c < ch; ++c) {
+        const float* plane = x.data() + (n * ch + c) * h * w;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
+            float best = plane[oy * window_ * w + ox * window_];
+            std::size_t best_idx = oy * window_ * w + ox * window_;
+            for (std::size_t dy = 0; dy < window_; ++dy) {
+              for (std::size_t dx = 0; dx < window_; ++dx) {
+                const std::size_t idx =
+                    (oy * window_ + dy) * w + ox * window_ + dx;
+                if (plane[idx] > best) {
+                  best = plane[idx];
+                  best_idx = idx;
+                }
+              }
+            }
+            out[oi] = best;
+            argmax_cache_[oi] = (n * ch + c) * h * w + best_idx;
+          }
+        }
+      }
+    }
+    return out;
+  }
+};
+
+// Bit-equal, except that where the reference holds a NaN the layer must
+// hold a NaN (which of two NaNs survives an add is the compiler's operand
+// order, in either chain).
+void expect_same_bits(const Tensor& expected, const Tensor& actual,
+                      const std::string& what) {
+  ASSERT_EQ(expected.shape(), actual.shape()) << what;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < expected.numel(); ++i) {
+    const bool same =
+        std::isnan(expected[i])
+            ? std::isnan(actual[i])
+            : std::bit_cast<std::uint32_t>(expected[i]) ==
+                  std::bit_cast<std::uint32_t>(actual[i]);
+    if (!same && ++mismatches <= 3)
+      ADD_FAILURE() << what << "[" << i << "]: expected " << expected[i]
+                    << ", got " << actual[i];
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+void expect_same_bits(const std::vector<double>& expected,
+                      const std::vector<double>& actual,
+                      const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_TRUE(std::isnan(expected[i])
+                    ? std::isnan(actual[i])
+                    : std::bit_cast<std::uint64_t>(expected[i]) ==
+                          std::bit_cast<std::uint64_t>(actual[i]))
+        << what << "[" << i << "]: expected " << expected[i] << ", got "
+        << actual[i];
+}
+
+// Normal values, with every `stride`-th entry replaced by one of +-0, a
+// denormal, +-inf or NaN when `specials` is set.
+Tensor lane_test_input(Shape shape, std::uint64_t seed, bool specials,
+                       float scale = 1.0f, float shift = 0.0f) {
+  util::Rng rng(seed);
+  Tensor t = Tensor::randn(std::move(shape), rng, shift, scale);
+  if (specials) {
+    const float kSpecial[] = {0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::denorm_min() * 7,
+                              -std::numeric_limits<float>::denorm_min() * 3,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+    const std::size_t stride = 1 + rng.uniform_index(41);
+    for (std::size_t i = rng.uniform_index(7), k = 0; i < t.numel();
+         i += stride, ++k)
+      t[i] = kSpecial[k % std::size(kSpecial)];
+  }
+  return t;
+}
+
+// Runs the layer and the reference side by side: two training forwards
+// (the second reuses the layer's xhat cache), then two backwards into
+// pre-filled gradient accumulators.
+void check_batchnorm_against_reference(std::size_t batch, std::size_t channels,
+                                       std::size_t h, std::size_t w,
+                                       bool specials, std::uint64_t seed) {
+  SCOPED_TRACE("batch " + std::to_string(batch) + " channels " +
+               std::to_string(channels) + " hw " + std::to_string(h * w) +
+               (specials ? " with specials" : ""));
+  BatchNorm2d bn(channels);
+  ReferenceBatchNorm ref(channels);
+  util::Rng rng(seed);
+  auto slots = bn.state();  // gamma, beta, running_mean, running_var
+  for (auto& slot : slots) {
+    for (std::size_t i = 0; i < slot.value->numel(); ++i)
+      (*slot.value)[i] = static_cast<float>(slot.name == "running_var"
+                                                ? rng.uniform(0.5, 2.0)
+                                                : rng.normal());
+    if (slot.grad)
+      for (std::size_t i = 0; i < slot.grad->numel(); ++i)
+        (*slot.grad)[i] = static_cast<float>(rng.normal());
+  }
+  ref.gamma_ = *slots[0].value;
+  ref.gamma_grad_ = *slots[0].grad;
+  ref.beta_ = *slots[1].value;
+  ref.beta_grad_ = *slots[1].grad;
+  ref.running_mean_ = *slots[2].value;
+  ref.running_var_ = *slots[3].value;
+
+  const Shape shape{batch, channels, h, w};
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::string tag = "pass " + std::to_string(pass) + " ";
+    // A shifted, scaled input makes the variance chain's rounding matter.
+    const Tensor x =
+        lane_test_input(shape, seed * 7 + pass, specials, 3.0f, 1.5f);
+    expect_same_bits(ref.forward(x), bn.forward(x, true), tag + "out");
+    // The chains' doubles, below what the float outputs can show.
+    std::vector<double> mean(channels), var(channels);
+    tensor::batchnorm_train_stats(batch, channels, h * w, x.data(),
+                                  mean.data(), var.data());
+    expect_same_bits(ref.batch_mean_, mean, tag + "mean");
+    expect_same_bits(ref.batch_var_, var, tag + "var");
+    expect_same_bits(ref.running_mean_, *slots[2].value, tag + "running_mean");
+    expect_same_bits(ref.running_var_, *slots[3].value, tag + "running_var");
+    const Tensor dy = lane_test_input(shape, seed * 7 + pass + 100, specials);
+    expect_same_bits(ref.backward(dy), bn.backward(dy), tag + "dx");
+    std::vector<double> sum_dy(channels), sum_dy_xhat(channels);
+    tensor::batchnorm_train_grad_sums(batch, channels, h * w, dy.data(),
+                                      ref.xhat_cache_.data(), sum_dy.data(),
+                                      sum_dy_xhat.data());
+    expect_same_bits(ref.sum_dy_, sum_dy, tag + "sum_dy");
+    expect_same_bits(ref.sum_dy_xhat_, sum_dy_xhat, tag + "sum_dy_xhat");
+    expect_same_bits(ref.gamma_grad_, *slots[0].grad, tag + "gamma_grad");
+    expect_same_bits(ref.beta_grad_, *slots[1].grad, tag + "beta_grad");
+  }
+}
+
+TEST(BatchNorm2dLanes, MatchesPerChannelChainBitForBit) {
+  const std::size_t kChannels[] = {1, 3, 4, 5, 8, 16, 17};
+  const std::size_t kPlanes[][2] = {{1, 1}, {4, 4}, {3, 5}, {8, 8}, {16, 16}};
+  const std::size_t kBatches[] = {1, 2, 32};
+  std::uint64_t seed = 1;
+  for (const std::size_t channels : kChannels)
+    for (const auto& plane : kPlanes)
+      for (const std::size_t batch : kBatches)
+        check_batchnorm_against_reference(batch, channels, plane[0], plane[1],
+                                          false, seed++);
+}
+
+TEST(BatchNorm2dLanes, MatchesPerChannelChainWithSpecialValues) {
+  const std::size_t kChannels[] = {1, 3, 4, 5, 8, 16, 17};
+  const std::size_t kPlanes[][2] = {{1, 1}, {4, 4}, {8, 8}, {16, 16}};
+  const std::size_t kBatches[] = {1, 2, 32};
+  std::uint64_t seed = 1000;
+  for (const std::size_t channels : kChannels)
+    for (const auto& plane : kPlanes)
+      for (const std::size_t batch : kBatches)
+        check_batchnorm_against_reference(batch, channels, plane[0], plane[1],
+                                          true, seed++);
+}
+
+TEST(BatchNorm2dLanes, MatchesWhenOnlySomeLanesAreSpecial) {
+  // One channel carries a NaN, another an inf, a third denormals only:
+  // the specials must stay in their own lanes.
+  BatchNorm2d bn(5);
+  ReferenceBatchNorm ref(5);
+  ref.gamma_ = Tensor::full({5}, 1.0f);
+  ref.gamma_grad_ = Tensor::zeros({5});
+  ref.beta_ = Tensor::zeros({5});
+  ref.beta_grad_ = Tensor::zeros({5});
+  ref.running_mean_ = Tensor::zeros({5});
+  ref.running_var_ = Tensor::full({5}, 1.0f);
+  Tensor x = lane_test_input({2, 5, 4, 4}, 77, false);
+  x[0 * 16 + 3] = std::numeric_limits<float>::quiet_NaN();
+  x[(5 + 1) * 16 + 9] = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < 16; ++i)
+    x[2 * 16 + i] = std::numeric_limits<float>::denorm_min() * (i + 1);
+  const Tensor y = bn.forward(x, true);
+  expect_same_bits(ref.forward(x), y, "out");
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_TRUE(std::isnan(y[0 * 16 + i]));   // channel 0: NaN mean
+    EXPECT_FALSE(std::isnan(y[3 * 16 + i]));  // channel 3 untouched
+  }
+  const Tensor dy = lane_test_input({2, 5, 4, 4}, 78, false);
+  expect_same_bits(ref.backward(dy), bn.backward(dy), "dx");
+}
+
+TEST(MaxPool2dBranchFree, MatchesBranchingLoopOnTiesAndNaNs) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // Each row is one 2x2 window in scan order.
+  const std::vector<std::array<float, 4>> windows = {
+      {1, 5, 3, 2},        {5, 5, 5, 5},       {2, 7, 7, 1},
+      {0.0f, -0.0f, -1, -2}, {-0.0f, 0.0f, -1, -2}, {nan, 9, 1, 2},
+      {1, nan, 9, 2},      {nan, nan, nan, nan}, {-inf, -inf, nan, -inf},
+      {inf, nan, inf, 3},  {3, 1, nan, 4},     {-1, -1, -3, -1}};
+  Tensor x({1, windows.size(), 2, 2});
+  for (std::size_t c = 0; c < windows.size(); ++c)
+    for (std::size_t k = 0; k < 4; ++k) x[c * 4 + k] = windows[c][k];
+  MaxPool2d pool(2);
+  ReferenceMaxPool ref(2);
+  expect_same_bits(ref.forward(x), pool.forward(x, true), "out");
+  Tensor g = Tensor::full({1, windows.size(), 1, 1}, 1.0f);
+  const Tensor gx = pool.backward(g);
+  for (std::size_t c = 0; c < windows.size(); ++c)
+    EXPECT_EQ(gx[ref.argmax_cache_[c]], 1.0f) << "window " << c;
+}
+
+TEST(MaxPool2dBranchFree, MatchesBranchingLoopOnRandomData) {
+  // 12x12 at window 2 runs 4-wide lanes plus single windows, 16x20 8-wide
+  // lanes plus single windows; window 3 runs single windows only.
+  const std::size_t kCases[][3] = {{2, 12, 12}, {2, 16, 20}, {3, 12, 12}};
+  for (const auto& [window, h, w] : kCases) {
+    for (const bool specials : {false, true}) {
+      // Quantized values make ties common.
+      Tensor x = lane_test_input({3, 4, h, w}, 90 + window + h, specials);
+      for (std::size_t i = 0; i < x.numel(); ++i)
+        if (std::isfinite(x[i])) x[i] = std::round(x[i] * 2.0f) / 2.0f;
+      MaxPool2d pool(window);
+      ReferenceMaxPool ref(window);
+      expect_same_bits(ref.forward(x), pool.forward(x, true), "out");
+      Tensor g(pool.forward(x, true).shape());
+      for (std::size_t i = 0; i < g.numel(); ++i) g[i] = static_cast<float>(i + 1);
+      const Tensor gx = pool.backward(g);
+      for (std::size_t i = 0; i < g.numel(); ++i)
+        EXPECT_EQ(gx[ref.argmax_cache_[i]], g[i]) << "output " << i;
+    }
+  }
 }
 
 TEST(PhaseBlock, ActiveNodePruningAndRepair) {

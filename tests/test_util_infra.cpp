@@ -278,7 +278,7 @@ TEST(AsciiTable, NumFormatting) {
 TEST(Timer, MeasuresElapsed) {
   Timer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0.0);
   EXPECT_GE(t.milliseconds(), t.seconds() * 1000.0 * 0.99);
 }
