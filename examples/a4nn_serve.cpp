@@ -37,9 +37,6 @@ int run(const util::ArgParser& args) {
   reg_cfg.commons_root = args.get("commons");
   reg_cfg.max_flops = args.get_size("max-flops");
   reg_cfg.slo_ms = args.get_double("slo-ms");
-  reg_cfg.quantize = args.get_flag("quantize");
-  reg_cfg.epsilon_pct = args.get_double("epsilon");
-  reg_cfg.calibration = args.get_size("calibration");
   reg_cfg.probe.batch = args.get_size("max-batch");
   serve::EngineConfig cfg;
   cfg.max_batch = args.get_size("max-batch");
@@ -63,26 +60,8 @@ int run(const util::ArgParser& args) {
   const std::string trace_out = args.get("trace-out");
   if (!trace_out.empty()) util::trace::start();
 
-  // Labelled shots regenerated at a candidate's own geometry: calibration
-  // batch for int8 activation scales plus the float-vs-int8 accuracy guard.
-  reg_cfg.eval_data = [](const tensor::Shape& shape, std::size_t classes) {
-    if (shape.size() != 3 || shape[0] != 1 || shape[1] != shape[2])
-      throw std::runtime_error(
-          "quantize: candidate input " + tensor::shape_to_string(shape) +
-          " is not a square single-channel detector");
-    xfel::XfelDatasetConfig data_cfg;
-    data_cfg.detector.pixels = shape[1];
-    data_cfg.conformations = classes;
-    data_cfg.images_per_class = 32;
-    return xfel::generate_xfel_dataset(data_cfg).validation;
-  };
   try {
     reg_cfg.policy = serve::champion_policy_from_name(args.get("policy"));
-    if (reg_cfg.quantize &&
-        reg_cfg.policy != serve::ChampionPolicy::kMeasuredP99)
-      throw std::runtime_error(
-          "--quantize requires --policy measured-p99 (the only policy that "
-          "probes and accuracy-guards the int8 variant)");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "a4nn_serve: %s\n", e.what());
     return 1;
@@ -97,14 +76,13 @@ int run(const util::ArgParser& args) {
   auto champion = registry.active();
   {
     util::AsciiTable t({"champion", "epoch", "fitness", "MFLOPs", "classes",
-                        "variant", "p99 ms"});
+                        "p99 ms"});
     t.add_row({std::to_string(champion->info.model_id),
                std::to_string(champion->info.epoch),
                util::AsciiTable::num(champion->info.fitness, 2),
                util::AsciiTable::num(
                    static_cast<double>(champion->info.flops) / 1e6, 3),
                std::to_string(champion->num_classes),
-               champion->info.quantized ? "int8" : "float",
                champion->info.p99_ms > 0.0
                    ? util::AsciiTable::num(champion->info.p99_ms, 3)
                    : "-"});
@@ -129,9 +107,8 @@ int run(const util::ArgParser& args) {
 
 
   if (args.get_flag("auto-batch")) {
-    // One-shot sweep before serving: probe the champion — the exact
-    // variant (float or int8) the registry published — at each candidate
-    // micro-batch width, combine each width with each flush delay
+    // One-shot sweep before serving: probe the published champion at each
+    // candidate micro-batch width, combine each width with each flush delay
     // arithmetically (the delay only shifts the request deadline, it never
     // changes the forward pass), and serve the highest-throughput pair
     // whose estimated worst-case request p99 meets the SLO. The sweep is
@@ -148,9 +125,7 @@ int run(const util::ArgParser& args) {
       latency::ProbeConfig pc;
       pc.batch = b;
       const latency::LatencyProbe prober(pc);
-      const latency::ProbeResult r = prober.probe_fn(
-          [&](const tensor::Tensor& x) { champion->predict(x); },
-          champion->input_shape);
+      const latency::ProbeResult r = prober.probe(champion->model);
       for (double d : delays) {
         // Worst case for an admitted request: it waits out the full flush
         // delay, then a whole batch runs at the probed per-image p99.
@@ -190,7 +165,6 @@ int run(const util::ArgParser& args) {
     util::Json id = util::Json::object();
     id["model_id"] = static_cast<double>(champion->info.model_id);
     id["epoch"] = static_cast<double>(champion->info.epoch);
-    id["quantized"] = champion->info.quantized;
     doc["champion"] = std::move(id);
     doc["slo_ms"] = slo;
     doc["candidates"] = std::move(cands);
@@ -289,15 +263,6 @@ int main(int argc, char** argv) {
   args.add_option("workers", "2", "inference worker threads");
   args.add_option("slo-ms", "0", "latency SLO for shedding (0 = off); "
                   "measured-p99 also holds probed candidates against it");
-  args.add_flag("quantize",
-                "measured-p99 only: consider an int8 post-training-quantized "
-                "variant per candidate (served when faster and within "
-                "--epsilon of float accuracy)");
-  args.add_option("epsilon", "0.5",
-                  "max absolute accuracy drop (percentage points) an int8 "
-                  "variant may cost before falling back to float");
-  args.add_option("calibration", "32",
-                  "calibration samples for int8 activation scales");
   args.add_flag("auto-batch",
                 "sweep (max-batch, max-delay-ms) pairs against the measured "
                 "champion latency before serving; journals serve_tune.json "

@@ -65,11 +65,10 @@ STREAM_PAIRS = [
     ("stream.degraded_entries", "child.degraded"),
 ]
 # Hardware-aware objective instants live on the host lane (pid 1): every
-# latency probe and every post-training quantization bumps its counter at
-# the same point it emits the instant, so the two must agree one-for-one.
+# latency probe bumps its counter at the same point it emits the instant,
+# so the two must agree one-for-one.
 HARDWARE_PAIRS = [
     ("latency.probes", "latency.probe"),
-    ("quant.quantizations", "quant.quantize"),
 ]
 # Everything crossing JSON is an IEEE-754 round-trippable double, so the
 # sums should match exactly; the epsilon only absorbs the associativity of
@@ -276,10 +275,11 @@ def check_stream_agreement(doc, events):
 
 
 def check_hardware_agreement(doc, events):
-    """Cross-check latency.*/quant.* counters against their host instants.
+    """Cross-check latency.* counters against their host instants.
 
-    Passes trivially for flops-objective, unquantized runs: no hardware
-    counters and no matching instants means nothing to disagree about.
+    Passes trivially for flops-objective runs, which probe no latency: no
+    hardware counters and no matching instants means nothing to disagree
+    about.
     """
     counters = doc.get("metrics", {}).get("counters", {})
     names = {event_name for _, event_name in HARDWARE_PAIRS}
@@ -288,13 +288,11 @@ def check_hardware_agreement(doc, events):
         for e in events
         if e["pid"] == HOST_PID and e["ph"] == "i" and e["name"] in names
     ]
-    has_counters = any(
-        name.startswith(("latency.", "quant.")) for name in counters
-    )
+    has_counters = any(name.startswith("latency.") for name in counters)
     if not instants and not has_counters:
         print(
             "check_trace: ok: no hardware-objective activity "
-            "(skipping latency/quant cross-check)"
+            "(skipping latency cross-check)"
         )
         return
 

@@ -41,10 +41,9 @@ double measure_ms(const std::function<void()>& pass) {
 
 }  // namespace
 
-ProbeResult LatencyProbe::probe_fn(
-    const std::function<void(const tensor::Tensor&)>& forward,
-    const tensor::Shape& input_shape) const {
+ProbeResult LatencyProbe::probe(nn::Model& model) const {
   // Seeded synthetic batch at the serving geometry.
+  const tensor::Shape& input_shape = model.input_shape();
   tensor::Shape shape;
   shape.reserve(1 + input_shape.size());
   shape.push_back(config_.batch);
@@ -54,7 +53,7 @@ ProbeResult LatencyProbe::probe_fn(
   for (std::size_t i = 0; i < batch.numel(); ++i)
     batch.data()[i] = static_cast<float>(rng.uniform());
 
-  const std::function<void()> pass = [&] { forward(batch); };
+  const std::function<void()> pass = [&] { model.predict(batch); };
   for (std::size_t i = 0; i < config_.warmup; ++i) pass();
 
   ProbeResult result;
@@ -75,11 +74,6 @@ ProbeResult LatencyProbe::probe_fn(
       std::ceil(0.99 * static_cast<double>(k)));
   result.p99_ms = sorted[p99 == 0 ? 0 : p99 - 1];
   return result;
-}
-
-ProbeResult LatencyProbe::probe(nn::Model& model) const {
-  return probe_fn([&model](const tensor::Tensor& batch) { model.predict(batch); },
-                  model.input_shape());
 }
 
 double RooflineEstimate::arithmetic_intensity() const {

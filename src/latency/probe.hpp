@@ -67,12 +67,6 @@ class LatencyProbe {
   using MeasureHook = std::function<double(const std::function<void()>&)>;
   void set_measure_hook(MeasureHook hook) { hook_ = std::move(hook); }
 
-  /// Probe an arbitrary forward callable at `input_shape` (one image,
-  /// C/H/W). The callable receives a (batch x C x H x W) tensor.
-  ProbeResult probe_fn(
-      const std::function<void(const tensor::Tensor&)>& forward,
-      const tensor::Shape& input_shape) const;
-
   /// Probe a float model (inference mode, whole-batch forward — the same
   /// call the serving engine issues per micro-batch).
   ProbeResult probe(nn::Model& model) const;
@@ -106,10 +100,8 @@ struct RooflineEstimate {
 /// Walk the trunk layer by layer with the existing flops(Shape) /
 /// output_shape(Shape) accounting, charging each layer its activation
 /// traffic (input read + output write) plus one streaming read of its
-/// parameters. float32 everywhere — the estimate prices the float serving
-/// path; the int8 path moves ~4x fewer weight bytes, which is exactly why
-/// it wins at memory-bound serving shapes. Non-const only because
-/// Layer::params() is non-const; nothing is written.
+/// parameters. float32 everywhere, like the serving path. Non-const only
+/// because Layer::params() is non-const; nothing is written.
 RooflineEstimate roofline_estimate(nn::Sequential& trunk,
                                    const tensor::Shape& input_shape);
 

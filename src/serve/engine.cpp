@@ -193,7 +193,7 @@ void InferenceEngine::run_batch(std::vector<Request> batch,
       std::memcpy(images.data() + i * generation->input_numel,
                   batch[i].image.data(),
                   generation->input_numel * sizeof(float));
-    const tensor::Tensor logits = generation->predict(images);
+    const tensor::Tensor logits = generation->model.predict(images);
     const auto done = Clock::now();
     const std::size_t classes = generation->num_classes;
     for (std::size_t i = 0; i < count; ++i) {
@@ -315,7 +315,6 @@ util::Json InferenceEngine::stats() const {
     champion["flops"] = static_cast<double>(generation->info.flops);
     if (generation->info.p99_ms > 0.0)
       champion["probed_p99_ms"] = generation->info.p99_ms;
-    if (generation->info.quantized) champion["quantized"] = true;
     j["champion"] = std::move(champion);
   }
   return j;

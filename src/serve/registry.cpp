@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -44,10 +43,6 @@ ServableGeneration::ServableGeneration(ChampionInfo champion, nn::Model loaded)
       input_numel(tensor::shape_numel(model.input_shape())),
       num_classes(tensor::shape_numel(
           model.trunk().output_shape(model.input_shape()))) {}
-
-tensor::Tensor ServableGeneration::predict(const tensor::Tensor& images) {
-  return quantized ? quantized->predict(images) : model.predict(images);
-}
 
 namespace {
 
@@ -100,13 +95,7 @@ void quarantine_artifact(const fs::path& root, const fs::path& file,
 }  // namespace
 
 ModelRegistry::ModelRegistry(RegistryConfig config)
-    : config_(std::move(config)) {
-  if (config_.policy == ChampionPolicy::kMeasuredP99 && config_.quantize &&
-      !config_.eval_data)
-    throw std::invalid_argument(
-        "ModelRegistry: measured-p99 with quantization needs an eval_data "
-        "provider (calibration batch + accuracy guard)");
-}
+    : config_(std::move(config)) {}
 
 std::shared_ptr<ServableGeneration> ModelRegistry::active() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -179,10 +168,7 @@ bool ModelRegistry::refresh() {
         std::lock_guard<std::mutex> lock(mutex_);
         if (active_ && active_->info.model_id == record.model_id &&
             active_->info.epoch == *it) {
-          quarantined_ += newly_quarantined;
-          if (config_.metrics && newly_quarantined > 0)
-            config_.metrics->counter("serve.registry.quarantined")
-                .add(static_cast<double>(newly_quarantined));
+          add_quarantined(newly_quarantined);
           return false;  // champion unchanged; keep the live generation
         }
       }
@@ -208,11 +194,12 @@ bool ModelRegistry::refresh() {
 
   // Every candidate failed (or the commons is empty): keep serving the
   // previous generation if there is one, never a damaged model.
+  return keep_previous(newly_quarantined);
+}
+
+bool ModelRegistry::keep_previous(std::size_t newly_quarantined) {
   std::lock_guard<std::mutex> lock(mutex_);
-  quarantined_ += newly_quarantined;
-  if (config_.metrics && newly_quarantined > 0)
-    config_.metrics->counter("serve.registry.quarantined")
-        .add(static_cast<double>(newly_quarantined));
+  add_quarantined(newly_quarantined);
   if (active_) {
     util::log_warn("registry: refresh found no loadable champion; keeping "
                    "generation ", active_->info.generation);
@@ -222,49 +209,22 @@ bool ModelRegistry::refresh() {
                            config_.commons_root.string());
 }
 
-namespace {
-
-/// Top-1 accuracy (%) of the int8 variant over a labelled dataset,
-/// batched like Model::evaluate so memory stays bounded.
-double quantized_accuracy(quant::QuantizedModel& qm, const nn::Dataset& data,
-                          std::size_t batch_size = 64) {
-  std::size_t correct = 0;
-  std::vector<std::size_t> indices;
-  for (std::size_t start = 0; start < data.size(); start += batch_size) {
-    const std::size_t count = std::min(batch_size, data.size() - start);
-    indices.resize(count);
-    for (std::size_t i = 0; i < count; ++i) indices[i] = start + i;
-    const nn::Dataset::Batch batch = data.gather(indices);
-    const tensor::Tensor logits = qm.predict(batch.images);
-    const std::size_t classes = logits.dim(1);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::span<const float> row =
-          logits.span().subspan(i * classes, classes);
-      if (tensor::argmax(row) ==
-          static_cast<std::size_t>(batch.labels[i]))
-        ++correct;
-    }
-  }
-  return data.size() == 0
-             ? 0.0
-             : 100.0 * static_cast<double>(correct) /
-                   static_cast<double>(data.size());
+void ModelRegistry::add_quarantined(std::size_t newly_quarantined) {
+  quarantined_ += newly_quarantined;
+  if (config_.metrics && newly_quarantined > 0)
+    config_.metrics->counter("serve.registry.quarantined")
+        .add(static_cast<double>(newly_quarantined));
 }
-
-}  // namespace
 
 bool ModelRegistry::publish(std::shared_ptr<ServableGeneration> generation,
                             std::size_t newly_quarantined) {
   std::lock_guard<std::mutex> lock(mutex_);
   generation->info.generation = next_generation_++;
   active_ = std::move(generation);
-  quarantined_ += newly_quarantined;
+  add_quarantined(newly_quarantined);
   if (config_.metrics) {
     auto& m = *config_.metrics;
     m.counter("serve.registry.publishes").add();
-    if (newly_quarantined > 0)
-      m.counter("serve.registry.quarantined")
-          .add(static_cast<double>(newly_quarantined));
     m.gauge("serve.registry.generation")
         .set(static_cast<double>(active_->info.generation));
     m.gauge("serve.registry.champion_model_id")
@@ -274,11 +234,8 @@ bool ModelRegistry::publish(std::shared_ptr<ServableGeneration> generation,
     m.gauge("serve.registry.champion_fitness").set(active_->info.fitness);
     m.gauge("serve.registry.champion_flops")
         .set(static_cast<double>(active_->info.flops));
-    if (config_.policy == ChampionPolicy::kMeasuredP99) {
+    if (config_.policy == ChampionPolicy::kMeasuredP99)
       m.gauge("serve.registry.champion_p99_ms").set(active_->info.p99_ms);
-      m.gauge("serve.registry.champion_quantized")
-          .set(active_->info.quantized ? 1.0 : 0.0);
-    }
   }
   util::trace::emit_instant(
       "registry.publish", "serve", util::trace::now_us(),
@@ -290,8 +247,7 @@ bool ModelRegistry::publish(std::shared_ptr<ServableGeneration> generation,
                  active_->info.model_id, " epoch ",
                  active_->info.epoch, " as generation ",
                  active_->info.generation, " (policy ",
-                 champion_policy_name(config_.policy),
-                 active_->info.quantized ? ", int8" : "", ")");
+                 champion_policy_name(config_.policy), ")");
   return true;
 }
 
@@ -304,41 +260,13 @@ bool ModelRegistry::refresh_measured(
   latency::LatencyProbe prober(config_.probe);
   if (config_.probe_hook) prober.set_measure_hook(config_.probe_hook);
 
-  // Evaluation set and calibration batch, loaded lazily (only when
-  // quantization actually runs) and shared across candidates with the
-  // same input geometry — in practice every model of one commons.
-  std::optional<nn::Dataset> eval;
-  std::optional<tensor::Tensor> calibration;
-  tensor::Shape eval_shape;
-  auto ensure_eval = [&](nn::Model& model) {
-    const tensor::Shape& shape = model.input_shape();
-    if (eval && eval_shape == shape) return;
-    const std::size_t classes =
-        tensor::shape_numel(model.trunk().output_shape(shape));
-    eval.emplace(config_.eval_data(shape, classes));
-    eval_shape = shape;
-    if (eval->size() == 0)
-      throw std::runtime_error(
-          "measured-p99: eval_data returned an empty dataset");
-    std::vector<std::size_t> indices(
-        std::min(config_.calibration, eval->size()));
-    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-    calibration.emplace(eval->gather(indices).images);
-  };
-
-  // Probe each front candidate (newest loadable epoch) in float and, when
-  // enabled and accurate enough, int8. Dominated records are measured only
-  // as a fallback when the entire front failed to load.
+  // Probe each front candidate (newest loadable epoch). Dominated records
+  // are measured only as a fallback when the entire front failed to load.
   struct Candidate {
     const nas::EvaluationRecord* record = nullptr;
     std::size_t epoch = 0;
     nn::Model model;
-    std::optional<quant::QuantizedModel> int8;
-    double float_p99 = 0.0;
-    double int8_p99 = 0.0;
-    double drop_pct = 0.0;
-    bool use_int8 = false;
-    double p99() const { return use_int8 ? int8_p99 : float_p99; }
+    double p99 = 0.0;
     Candidate(nn::Model m) : model(std::move(m)) {}
   };
   std::vector<Candidate> measured;
@@ -352,38 +280,7 @@ bool ModelRegistry::refresh_measured(
         Candidate candidate(commons.load_model(record.model_id, *it));
         candidate.record = &record;
         candidate.epoch = *it;
-        candidate.float_p99 = prober.probe(candidate.model).p99_ms;
-        if (config_.quantize) {
-          ensure_eval(candidate.model);
-          quant::QuantizedModel qm =
-              quant::QuantizedModel::quantize(candidate.model, *calibration);
-          const double float_acc = candidate.model.evaluate(*eval).accuracy;
-          const double int8_acc = quantized_accuracy(qm, *eval);
-          candidate.drop_pct = float_acc - int8_acc;
-          if (config_.metrics)
-            config_.metrics->counter("quant.quantizations").add();
-          util::trace::emit_instant(
-              "quant.quantize", "quant", util::trace::now_us(),
-              util::trace::kHostPid, util::trace::current_tid(),
-              {{"model_id", static_cast<double>(record.model_id)},
-               {"accuracy_drop_pct", candidate.drop_pct}});
-          // The epsilon guard is absolute: an int8 variant that costs more
-          // accuracy than epsilon_pct is never served, no matter how fast.
-          if (candidate.drop_pct <= config_.epsilon_pct) {
-            candidate.int8_p99 =
-                prober
-                    .probe_fn([&qm](const tensor::Tensor& x) { qm.predict(x); },
-                              candidate.model.input_shape())
-                    .p99_ms;
-            candidate.use_int8 = candidate.int8_p99 < candidate.float_p99;
-            if (candidate.use_int8) candidate.int8 = std::move(qm);
-          } else {
-            util::log_warn("registry: model_", record.model_id,
-                           " int8 accuracy drop ", candidate.drop_pct,
-                           "pp exceeds epsilon ", config_.epsilon_pct,
-                           "pp; serving float");
-          }
-        }
+        candidate.p99 = prober.probe(candidate.model).p99_ms;
         measured.push_back(std::move(candidate));
         break;  // newest loadable epoch measured; older ones are backups
       } catch (const std::exception& e) {
@@ -396,36 +293,22 @@ bool ModelRegistry::refresh_measured(
     }
   }
 
-  if (measured.empty()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    quarantined_ += newly_quarantined;
-    if (config_.metrics && newly_quarantined > 0)
-      config_.metrics->counter("serve.registry.quarantined")
-          .add(static_cast<double>(newly_quarantined));
-    if (active_) {
-      util::log_warn("registry: measured refresh found no loadable "
-                     "candidate; keeping generation ",
-                     active_->info.generation);
-      return false;
-    }
-    throw std::runtime_error("ModelRegistry: no servable model in " +
-                             config_.commons_root.string());
-  }
+  if (measured.empty()) return keep_previous(newly_quarantined);
 
   // Selection: candidates whose measured p99 meets the SLO outrank those
   // that miss it. Under the SLO the search's fitness decides (p99 breaks
   // ties); when everyone misses, least-bad latency wins. Model id makes
   // the final order deterministic.
   auto better = [&](const Candidate& a, const Candidate& b) {
-    const bool a_ok = config_.slo_ms <= 0.0 || a.p99() <= config_.slo_ms;
-    const bool b_ok = config_.slo_ms <= 0.0 || b.p99() <= config_.slo_ms;
+    const bool a_ok = config_.slo_ms <= 0.0 || a.p99 <= config_.slo_ms;
+    const bool b_ok = config_.slo_ms <= 0.0 || b.p99 <= config_.slo_ms;
     if (a_ok != b_ok) return a_ok;
     if (a_ok) {
       if (a.record->fitness != b.record->fitness)
         return a.record->fitness > b.record->fitness;
-      if (a.p99() != b.p99()) return a.p99() < b.p99();
+      if (a.p99 != b.p99) return a.p99 < b.p99;
     } else {
-      if (a.p99() != b.p99()) return a.p99() < b.p99();
+      if (a.p99 != b.p99) return a.p99 < b.p99;
       if (a.record->fitness != b.record->fitness)
         return a.record->fitness > b.record->fitness;
     }
@@ -437,13 +320,9 @@ bool ModelRegistry::refresh_measured(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (active_ && active_->info.model_id == champion.record->model_id &&
-        active_->info.epoch == champion.epoch &&
-        active_->info.quantized == champion.use_int8) {
-      quarantined_ += newly_quarantined;
-      if (config_.metrics && newly_quarantined > 0)
-        config_.metrics->counter("serve.registry.quarantined")
-            .add(static_cast<double>(newly_quarantined));
-      return false;  // same champion, same variant: keep the generation
+        active_->info.epoch == champion.epoch) {
+      add_quarantined(newly_quarantined);
+      return false;  // same champion: keep the generation
     }
   }
 
@@ -452,13 +331,10 @@ bool ModelRegistry::refresh_measured(
   info.epoch = champion.epoch;
   info.fitness = champion.record->fitness;
   info.flops = champion.record->flops;
-  info.p99_ms = champion.p99();
-  info.quantized = champion.use_int8;
-  info.accuracy_drop_pct = champion.drop_pct;
-  auto generation =
-      std::make_shared<ServableGeneration>(info, std::move(champion.model));
-  if (champion.use_int8) generation->quantized = std::move(champion.int8);
-  return publish(std::move(generation), newly_quarantined);
+  info.p99_ms = champion.p99;
+  return publish(
+      std::make_shared<ServableGeneration>(info, std::move(champion.model)),
+      newly_quarantined);
 }
 
 }  // namespace a4nn::serve

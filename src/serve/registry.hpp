@@ -16,17 +16,13 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "latency/probe.hpp"
 #include "lineage/tracker.hpp"
-#include "nn/dataset.hpp"
 #include "nn/model.hpp"
-#include "quant/quantized_model.hpp"
 #include "util/metrics.hpp"
 
 namespace a4nn::serve {
@@ -38,9 +34,7 @@ enum class ChampionPolicy {
   kBalanced,     ///< fitness per FLOPs doubling: fitness / log2(2 + flops)
   /// Probe every front candidate on THIS host at the serving micro-batch
   /// geometry and pick by the measured p99 under the SLO — no analytic
-  /// proxy. With quantization enabled each candidate is considered in
-  /// float and int8 form; int8 is served only when its accuracy stays
-  /// within epsilon of float on the evaluation set.
+  /// proxy.
   kMeasuredP99,
 };
 
@@ -64,26 +58,11 @@ struct RegistryConfig {
   /// Latency SLO (ms per image) the measured p99 is held against; 0 means
   /// no SLO filter — the lowest-p99 candidate simply wins ties later.
   double slo_ms = 0.0;
-  /// Also build an int8 post-training-quantized variant per candidate and
-  /// serve it when it is both faster and accurate enough.
-  bool quantize = false;
-  /// Largest absolute accuracy drop (percentage points) the int8 variant
-  /// may cost before the registry falls back to float for that candidate.
-  double epsilon_pct = 0.5;
-  /// Calibration samples (the first N of eval_data, deterministic).
-  std::size_t calibration = 32;
   /// Probe geometry; defaults mirror the serving engine's micro-batch.
   latency::ProbeConfig probe = {};
   /// Timing hook forwarded to the probe (LatencyProbe::set_measure_hook):
   /// lets tests pin the measured milliseconds instead of reading a clock.
   latency::LatencyProbe::MeasureHook probe_hook = {};
-  /// Labelled evaluation set provider for a given image shape (C,H,W) and
-  /// class count: supplies the calibration batch and the float-vs-int8
-  /// accuracy guard. Required when quantize is true. Candidates sharing a
-  /// geometry share one dataset per refresh.
-  std::function<nn::Dataset(const tensor::Shape& image_shape,
-                            std::size_t num_classes)>
-      eval_data = {};
 };
 
 /// Identity of a published champion.
@@ -93,10 +72,7 @@ struct ChampionInfo {
   double fitness = 0.0;      ///< fitness recorded by the NAS (%)
   std::uint64_t flops = 0;   ///< forward FLOPs per image
   std::uint64_t generation = 0;  ///< 1-based publish counter
-  // measured-p99 extras (zero / false under the analytic policies):
-  double p99_ms = 0.0;       ///< probed p99 of the served variant (ms/image)
-  bool quantized = false;    ///< serving the int8 variant
-  double accuracy_drop_pct = 0.0;  ///< float minus int8 accuracy, when probed
+  double p99_ms = 0.0;  ///< measured-p99 only: probed p99 (ms/image)
 };
 
 /// One immutable published generation. Eval-mode forward is pure (see
@@ -104,17 +80,16 @@ struct ChampionInfo {
 struct ServableGeneration {
   ChampionInfo info;
   nn::Model model;
-  /// Set when the champion serves int8 (info.quantized); the float model
-  /// above is always kept — shape metadata and fallback come from it.
-  std::optional<quant::QuantizedModel> quantized;
   tensor::Shape input_shape;   ///< one image (C,H,W)
   std::size_t input_numel = 0;
   std::size_t num_classes = 0;
 
   ServableGeneration(ChampionInfo champion, nn::Model loaded);
 
-  /// Forward a batch through whichever variant this generation serves.
-  tensor::Tensor predict(const tensor::Tensor& images);
+  /// Same as model.predict; perfbench's serve setup calls it.
+  tensor::Tensor predict(const tensor::Tensor& images) {
+    return model.predict(images);
+  }
 };
 
 class ModelRegistry {
@@ -154,6 +129,12 @@ class ModelRegistry {
   /// Publish `generation` under the lock, bump counters, emit traces.
   bool publish(std::shared_ptr<ServableGeneration> generation,
                std::size_t newly_quarantined);
+  /// No candidate loaded: keep the active generation (false), or throw
+  /// std::runtime_error when there is none yet.
+  bool keep_previous(std::size_t newly_quarantined);
+  /// Fold this refresh's quarantines into quarantined_ and the
+  /// serve.registry.quarantined counter. Caller holds mutex_.
+  void add_quarantined(std::size_t newly_quarantined);
 
   RegistryConfig config_;
   mutable std::mutex mutex_;

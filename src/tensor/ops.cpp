@@ -386,11 +386,6 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
   gemm_driver(m, k, n, a, false, b, false, c, /*accumulate=*/false, nullptr);
 }
 
-void gemm_accumulate(std::size_t m, std::size_t k, std::size_t n,
-                     const float* a, const float* b, float* c) {
-  gemm_driver(m, k, n, a, false, b, false, c, /*accumulate=*/true, nullptr);
-}
-
 void gemm_ex(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, const Epilogue& epilogue) {
   gemm_driver(m, k, n, a, false, b, false, c, /*accumulate=*/false, &epilogue);

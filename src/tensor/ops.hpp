@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -109,10 +108,6 @@ void validate_tile_config(const TileConfig& config);
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
           const float* b, float* c);
 
-/// C(m x n) += A(m x k) * B(k x n).
-void gemm_accumulate(std::size_t m, std::size_t k, std::size_t n,
-                     const float* a, const float* b, float* c);
-
 /// gemm with a fused epilogue (bias broadcast and/or ReLU).
 void gemm_ex(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, const Epilogue& epilogue);
@@ -139,41 +134,6 @@ void gemm_a_bt_acc(std::size_t m, std::size_t k, std::size_t n,
 /// gemm_a_bt with a fused epilogue (dense forward: bias is kPerCol).
 void gemm_a_bt_ex(std::size_t m, std::size_t k, std::size_t n, const float* a,
                   const float* b_t, float* c, const Epilogue& epilogue);
-
-// ---- int8 inference kernels (ops_s8.cpp) ----------------------------------
-//
-// Symmetric post-training quantization for the serving path: values are
-// stored as round(x / scale) in [-127, 127] and multiplied in int32, which
-// is EXACT — no rounding inside the dot product, so results are
-// bit-deterministic and independent of summation order, unlike the float
-// kernels whose summation order the tile table pins down. The dequantize +
-// bias + ReLU epilogue is fused into the writeback, mirroring Epilogue.
-
-/// Largest |x| over the span (0 for an empty span).
-float max_abs(std::span<const float> xs);
-
-/// Symmetric scale mapping [-limit, limit] onto [-127, 127]; returns a
-/// positive scale even for an all-zero tensor (limit 0).
-float symmetric_scale_s8(float limit);
-
-/// Quantize xs[i] -> round(xs[i] / scale), clamped to [-127, 127].
-/// `scale` must be positive; out must hold xs.size() values.
-void quantize_s8(std::span<const float> xs, float scale, std::int8_t* out);
-
-/// C(m x n) = act(dequant(A_q * B_q_t^T) + bias) where A_q is (m x k)
-/// row-major int8, B_q_t is (n x k) row-major int8 (B transposed, like
-/// gemm_a_bt_ex), and dequant multiplies the exact int32 dot product by
-/// a_scales[i] * b_scales[j]. Scale spans broadcast: size 1 applies one
-/// per-tensor scale to every row, size m (for A) / size n (for B_t) gives
-/// per-row scales — the dense path passes a per-tensor activation scale and
-/// per-output-feature weight scales; the conv path flips the roles.
-/// Throws std::invalid_argument on scale-span size mismatches and when k is
-/// large enough for the int32 accumulator to overflow (k * 127^2 >= 2^31;
-/// every shape this codebase produces is orders of magnitude below that).
-void gemm_s8_a_bt_ex(std::size_t m, std::size_t k, std::size_t n,
-                     const std::int8_t* a, std::span<const float> a_scales,
-                     const std::int8_t* b_t, std::span<const float> b_scales,
-                     float* c, const Epilogue& epilogue);
 
 /// The seed's naive i-k-j GEMM, kept as the reference implementation for
 /// the property tests and the bench_kernels speedup baseline.

@@ -1,11 +1,13 @@
-// Serving layer: champion selection, bit-identical micro-batching,
-// hot-swap without request loss, SLO shedding, queue backpressure, and
-// corrupt-artifact fallback.
+// Serving layer: champion selection (analytic policies and measured p99),
+// bit-identical micro-batching, hot-swap without request loss, SLO
+// shedding, queue backpressure, and corrupt-artifact fallback.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -86,6 +88,24 @@ struct ServeFixture : ::testing::Test {
     tracker->record_evaluation(r);
   }
 
+  /// measured-p99 config whose probe "measures" the scripted milliseconds
+  /// in hook-call order (candidates probe in model-id order).
+  RegistryConfig measured_config(std::vector<double> script) const {
+    RegistryConfig cfg;
+    cfg.commons_root = root;
+    cfg.policy = ChampionPolicy::kMeasuredP99;
+    cfg.probe.batch = 1;
+    cfg.probe.warmup = 0;
+    cfg.probe.repeats = 1;
+    auto plan = std::make_shared<std::vector<double>>(std::move(script));
+    auto cursor = std::make_shared<std::size_t>(0);
+    cfg.probe_hook = [plan, cursor](const std::function<void()>& pass) {
+      pass();  // still run the forward: shapes and kernels stay exercised
+      return plan->at((*cursor)++);
+    };
+    return cfg;
+  }
+
   fs::path snapshot_path(int id, std::size_t epoch) const {
     return root / "models" / lineage::model_dir_name(id) /
            lineage::snapshot_file_name(epoch);
@@ -117,9 +137,40 @@ void truncate_file(const fs::path& path, double keep) {
 TEST_F(ServeFixture, ChampionPolicyNamesRoundTrip) {
   for (ChampionPolicy p : {ChampionPolicy::kBestFitness,
                            ChampionPolicy::kMinFlops,
-                           ChampionPolicy::kBalanced})
+                           ChampionPolicy::kBalanced,
+                           ChampionPolicy::kMeasuredP99})
     EXPECT_EQ(champion_policy_from_name(champion_policy_name(p)), p);
+  EXPECT_STREQ(champion_policy_name(ChampionPolicy::kMeasuredP99),
+               "measured-p99");
   EXPECT_THROW(champion_policy_from_name("bogus"), std::invalid_argument);
+}
+
+TEST_F(ServeFixture, SloSatisfiersOutrankFasterButLessFitModels) {
+  // All three are Pareto-front members (fitness and FLOPs both increase).
+  publish(0, 90.0, 2000, 11);
+  publish(1, 95.0, 8000, 12);
+  publish(2, 85.0, 1000, 13);
+
+  // Probed in model-id order: 0 -> 5ms, 1 -> 12ms, 2 -> 3ms. Under a 6ms
+  // SLO the most accurate *compliant* model wins — model 0, not the
+  // higher-fitness SLO violator 1, and not the fastest model 2.
+  // A second refresh measures the same champion and does not republish.
+  RegistryConfig cfg = measured_config({5.0, 12.0, 3.0, 5.0, 12.0, 3.0});
+  cfg.slo_ms = 6.0;
+  ModelRegistry registry(cfg);
+  EXPECT_TRUE(registry.refresh());
+  EXPECT_EQ(registry.active()->info.model_id, 0);
+  EXPECT_DOUBLE_EQ(registry.active()->info.p99_ms, 5.0);
+  EXPECT_FALSE(registry.refresh());
+  EXPECT_EQ(registry.active()->info.generation, 1u);
+
+  // When every candidate misses the SLO, least-bad latency wins.
+  RegistryConfig strict = measured_config({5.0, 12.0, 3.0});
+  strict.slo_ms = 1.0;
+  ModelRegistry least_bad(strict);
+  EXPECT_TRUE(least_bad.refresh());
+  EXPECT_EQ(least_bad.active()->info.model_id, 2);
+  EXPECT_DOUBLE_EQ(least_bad.active()->info.p99_ms, 3.0);
 }
 
 TEST_F(ServeFixture, ChampionSelectionFollowsPolicy) {

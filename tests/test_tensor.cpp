@@ -337,9 +337,6 @@ TEST(OpsSweep, AllGemmVariantsMatchDoubleReference) {
 
     // Accumulating variants add on top of a nonzero C.
     std::fill(c.begin(), c.end(), 0.25f);
-    gemm_accumulate(m, k, n, a.data(), b.data(), c.data());
-    check("gemm_accumulate", 0.25);
-    std::fill(c.begin(), c.end(), 0.25f);
     gemm_at_b_acc(m, k, n, a_t.data(), b.data(), c.data());
     check("gemm_at_b_acc", 0.25);
     std::fill(c.begin(), c.end(), 0.25f);
@@ -404,7 +401,7 @@ TEST(OpsSweep, GemmDegenerateExtents) {
   gemm(2, 0, 3, nullptr, nullptr, c.data());
   for (float v : c) EXPECT_EQ(v, 0.0f);
   std::fill(c.begin(), c.end(), 5.0f);
-  gemm_accumulate(2, 0, 3, nullptr, nullptr, c.data());
+  gemm_a_bt_acc(2, 0, 3, nullptr, nullptr, c.data());
   for (float v : c) EXPECT_EQ(v, 5.0f);
   std::vector<float> bias{1.0f, 2.0f};
   Epilogue ep;
